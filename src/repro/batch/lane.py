@@ -19,9 +19,10 @@ with vectorized sweeps; this module supplies the scalar complement:
   re-entry (:meth:`Lane._leave`), shared by both execution modes.
 
 Every method mirrors the fused loop decision-for-decision: same hook
-resolution (``_raw_hook``), same ``cache.now`` advancement points, same
-edge-recording order, same counter flush discipline.  The bit-identity
-suite in ``tests/test_batch.py`` holds a fleet lane equal to a serial
+resolution (:func:`~repro.selection.base.fast_hooks`), same
+``cache.now`` advancement points, same edge-recording order, same
+counter flush discipline.  The bit-identity suite in
+``tests/test_batch.py`` holds a fleet lane equal to a serial
 ``simulate`` run for the same cell.
 """
 
@@ -53,11 +54,10 @@ from repro.metrics.summary import MetricReport
 from repro.obs.observer import NULL_OBSERVER
 from repro.program.cfg import BasicBlock
 from repro.program.program import Program
-from repro.selection.base import RegionSelector
+from repro.selection.base import RegionSelector, fast_hooks
 from repro.selection.net import NETSelector
 from repro.selection.registry import make_selector
 from repro.system.results import RunResult, RunStats
-from repro.system.simulator import _raw_hook
 
 
 def _never_idle() -> bool:
@@ -139,7 +139,6 @@ class Lane:
             config.cache_capacity_bytes, config.cache_eviction_policy
         )
         self.cache.observer = NULL_OBSERVER
-        self.cache.bind_program(program)
         self.selector: RegionSelector = make_selector(
             cell.selector, self.cache, config, program
         )
@@ -169,28 +168,11 @@ class Lane:
         self.edge_profile: Dict[Tuple[BasicBlock, BasicBlock], int] = {}
         self.edge_get = self.edge_profile.get
 
-        # Selector hooks, resolved exactly as the fused loop does: the
-        # base-class no-ops are skipped entirely, and the raw
-        # (allocation-free) variants are used when trustworthy.
+        # Selector hooks, resolved exactly as the fused loop does.
         selector = self.selector
-        base = RegionSelector
-        bound_observe = selector.observe_interpreted
-        self.observe_interpreted = (
-            None
-            if getattr(bound_observe, "__func__", None)
-            is base.observe_interpreted
-            else bound_observe
-        )
-        bound_enter = selector.on_cache_enter
-        self.on_cache_enter = (
-            None
-            if getattr(bound_enter, "__func__", None) is base.on_cache_enter
-            else bound_enter
-        )
-        self.on_interpreted_taken = selector.on_interpreted_taken
-        self.on_cache_exit = selector.on_cache_exit
-        self.on_taken_raw = _raw_hook(selector, "on_interpreted_taken")
-        self.on_enter_raw = _raw_hook(selector, "on_cache_enter")
+        (self.observe_interpreted, self.on_cache_enter,
+         self.on_interpreted_taken, self.on_cache_exit,
+         self.on_taken_raw, self.on_enter_raw) = fast_hooks(selector)
 
         # Interp span batching (see ``_build_interp_spans``) is legal
         # only while no observer would see the individual steps:

@@ -33,7 +33,6 @@ from repro.program.cfg import BasicBlock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache.dispatch import DispatchTable
-    from repro.program.program import Program
 
 
 class CodeCache:
@@ -48,11 +47,6 @@ class CodeCache:
         #: Every region ever selected, in selection order.
         self.regions: List[Region] = []
         self._by_entry: Dict[BasicBlock, Region] = {}
-        #: Flat residency mirror of ``_by_entry``, indexed by interned
-        #: block id (``bind_program``); ``None`` until a program is
-        #: bound.  The fast paths index this list instead of hashing
-        #: blocks.
-        self._resident_by_id: Optional[List[Optional[Region]]] = None
         #: The active run's dispatch-compilation layer
         #: (:class:`~repro.cache.dispatch.DispatchTable`), bound by the
         #: fused fast path for the duration of one run so installs and
@@ -70,19 +64,6 @@ class CodeCache:
         self.evictions = 0
         self.flushes = 0
         self.regenerations = 0
-
-    def bind_program(self, program: "Program") -> None:
-        """Enable flat id-indexed residency for ``program``'s blocks.
-
-        Finalized programs carry dense block ids, so residency becomes
-        one list index in the hot loops.  Safe to call with regions
-        already resident (the mirror is rebuilt); binding a different
-        program resets the mirror to the new id space.
-        """
-        flat: List[Optional[Region]] = [None] * len(program.blocks)
-        for region in self._by_entry.values():
-            flat[region.entry.block_id] = region
-        self._resident_by_id = flat
 
     def bind_dispatch(self, dispatch: "DispatchTable") -> None:
         """Attach one run's dispatch layer; compiles resident regions.
@@ -129,9 +110,6 @@ class CodeCache:
         self._next_order += 1
         self.regions.append(region)
         self._by_entry[region.entry] = region
-        flat = self._resident_by_id
-        if flat is not None:
-            flat[region.entry.block_id] = region
         dispatch = self.dispatch
         if dispatch is not None:
             dispatch.install(region)
@@ -253,19 +231,15 @@ class BoundedCodeCache(CodeCache):
     def _retire_region(self, victim: Region, policy: str) -> None:
         """The one eviction path — every victim leaves through here.
 
-        Drops residency (dict *and* the flat id-indexed mirror),
-        invalidates the victim's walk table and every trace link
-        patched to point at it (when a run's dispatch layer is bound —
-        a stale link would chain execution into evicted code), records
-        it for regeneration accounting, and emits the eviction metric
-        and event.  Both the flush and FIFO policies delegate here so
-        per-region derived state can never be cleared in one place and
-        leak in another.
+        Drops residency, invalidates the victim's walk table and every
+        trace link patched to point at it (when a run's dispatch layer
+        is bound — a stale link would chain execution into evicted
+        code), records it for regeneration accounting, and emits the
+        eviction metric and event.  Both the flush and FIFO policies
+        delegate here so per-region derived state can never be cleared
+        in one place and leak in another.
         """
         del self._by_entry[victim.entry]
-        flat = self._resident_by_id
-        if flat is not None:
-            flat[victim.entry.block_id] = None
         dispatch = self.dispatch
         if dispatch is not None:
             dispatch.retire(victim)

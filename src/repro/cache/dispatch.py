@@ -28,10 +28,10 @@ code *once* and then executes it without consulting its own tables:
   region at its target address is resident *right now*.
 
 The tables are semantics-free: every decision they encode replicates
-the reference pipeline bit for bit (``tests/test_fast_path.py`` holds
-the two pipelines equal), and the link metrics of
+the reference state machine bit for bit (``tests/test_fast_path.py``
+holds the fused loop equal to it), and the link metrics of
 :mod:`repro.metrics.linking` agree between the patched fast path and
-the reference pipeline (``tests/test_fast_path.py::TestLinkingIdentity``).
+the reference (``tests/test_fast_path.py::TestLinkingIdentity``).
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ from repro.selection.registry import SELECTOR_FACTORIES
 from repro.system.simulator import Simulator, simulate
 from repro.tracing.collector import (
     collect_trace,
-    replay_trace,
     replay_trace_into,
     trace_header,
 )
@@ -69,7 +68,7 @@ def _add_common(parser: argparse.ArgumentParser, selector: bool = True) -> None:
     parser.add_argument("--eviction", choices=("flush", "fifo"),
                         default="flush", help="bounded-cache policy")
     parser.add_argument("--reference", action="store_true",
-                        help="use the reference (pull-generator) pipeline "
+                        help="use the reference state machine "
                              "instead of the fused fast path; results are "
                              "bit-identical (see docs/performance.md)")
 
@@ -535,28 +534,39 @@ def cmd_layout(args: argparse.Namespace) -> int:
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
+    """``repro collect``; an unwritable output path exits 2 with a
+    one-line ``error:`` message, like ``repro inspect``."""
     program = build_benchmark(args.benchmark, scale=args.scale)
     engine = ExecutionEngine(program, seed=args.seed)
-    steps = collect_trace(engine, args.output)
+    try:
+        steps = collect_trace(engine, args.output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"collected {steps} steps of {args.benchmark!r} into {args.output}")
     return 0
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    header = trace_header(args.trace)
-    program = build_benchmark(header.program_name, scale=args.scale)
-    observer = _observer_from(args)
-    simulator = Simulator(program, args.selector, _config_from(args),
-                          observer=observer)
+    """``repro replay``; a missing, unreadable or malformed trace exits
+    2 with a one-line ``error:`` message, like ``repro inspect``."""
+    from repro.errors import TraceFormatError
+
     try:
-        if args.reference:
-            result = simulator.run(replay_trace(args.trace, program))
-        else:
+        header = trace_header(args.trace)
+        program = build_benchmark(header.program_name, scale=args.scale)
+        observer = _observer_from(args)
+        simulator = Simulator(program, args.selector, _config_from(args),
+                              observer=observer)
+        try:
             result = simulator.run_push(
                 lambda consume: replay_trace_into(args.trace, program, consume)
             )
-    finally:
-        _finish_observer(observer, args)
+        finally:
+            _finish_observer(observer, args)
+    except (TraceFormatError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"replayed {header.program_name!r} through {args.selector}")
     _print_report(MetricReport.from_result(result))
     return 0
@@ -748,9 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scale used when the trace was collected")
     replay.add_argument("--cache-capacity", type=int, default=None)
     replay.add_argument("--eviction", choices=("flush", "fifo"), default="flush")
-    replay.add_argument("--reference", action="store_true",
-                        help="replay through the reference pull pipeline "
-                             "instead of the fused push decoder")
     _add_obs(replay)
     replay.set_defaults(func=cmd_replay)
     return parser

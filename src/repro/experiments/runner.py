@@ -119,8 +119,8 @@ def run_grid(
     into that directory once the grid completes.  ``faults`` injects
     deterministic worker failures (tests only).
 
-    ``fast=False`` pins every cell to the reference pull-generator
-    pipeline instead of the fused fast path; the results are
+    ``fast=False`` pins every cell to the reference state machine
+    instead of the fused fast path; the results are
     bit-identical either way (``tests/test_fast_path.py``), so this
     exists purely for debugging and cross-checking.
 
@@ -163,7 +163,7 @@ def run_grid(
         )
     if batched and not fast:
         raise ConfigError(
-            "fast=False pins the reference pull-generator pipeline, "
+            "fast=False pins the reference state machine, "
             "which has no batched equivalent: use backend='serial'"
         )
     if batched and faults is not None:

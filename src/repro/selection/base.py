@@ -142,3 +142,48 @@ class RegionSelector(abc.ABC):
         """Peak memory holding observed traces (Figure 18); 0 for
         plain trace selectors."""
         return 0
+
+
+def _raw_hook(selector: RegionSelector, name: str):
+    """Resolve the selector's ``<name>_raw`` fast hook, if trustworthy.
+
+    The raw variant is used only when the class that provides the
+    ``Step``-taking hook in the MRO *also* provides the raw one: a
+    subclass that overrides just the ``Step`` hook must win, or the
+    fast path would silently bypass its override.
+    """
+    raw_name = name + "_raw"
+    for klass in type(selector).__mro__:
+        namespace = vars(klass)
+        if name in namespace or raw_name in namespace:
+            if name in namespace and raw_name in namespace:
+                return getattr(selector, raw_name)
+            return None
+    return None
+
+
+def fast_hooks(selector: RegionSelector) -> tuple:
+    """The selector's callbacks as the fused loop and fleet lanes call them.
+
+    Returns ``(observe_interpreted, on_cache_enter,
+    on_interpreted_taken, on_cache_exit, on_taken_raw, on_enter_raw)``.
+    The first two are ``None`` when the selector keeps the base-class
+    no-op, so callers skip both the call and the ``Step`` it would
+    take; the raw variants are ``None`` unless trustworthy
+    (:func:`_raw_hook`).
+    """
+    base = RegionSelector
+    observe = selector.observe_interpreted
+    if getattr(observe, "__func__", None) is base.observe_interpreted:
+        observe = None
+    enter = selector.on_cache_enter
+    if getattr(enter, "__func__", None) is base.on_cache_enter:
+        enter = None
+    return (
+        observe,
+        enter,
+        selector.on_interpreted_taken,
+        selector.on_cache_exit,
+        _raw_hook(selector, "on_interpreted_taken"),
+        _raw_hook(selector, "on_cache_enter"),
+    )

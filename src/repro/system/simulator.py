@@ -20,6 +20,14 @@ The cache is unbounded by default (Section 2.3); setting
 ``SystemConfig.cache_capacity_bytes`` switches in the bounded cache with
 flush or FIFO eviction (an explicit extension of the paper's setting).
 
+Two loop bodies run that state machine.  The reference one is a
+single ``consume(block, taken, target)`` callback, fed by pull
+(:meth:`Simulator.run` over a step iterable) or by push
+(:meth:`Simulator.run_push`, e.g. trace replay); it is the oracle.
+The fused one (:meth:`Simulator.run_program`) inlines live execution
+and compiled region walks into one frame for speed.  Both produce
+bit-identical results (``tests/test_fast_path.py``).
+
 Observability
 -------------
 Passing an :class:`~repro.obs.observer.Observer` threads the run
@@ -55,7 +63,7 @@ from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.signals import SignalConfig, SignalTracker
 from repro.program.cfg import BasicBlock
 from repro.program.program import Program
-from repro.selection.base import RegionSelector
+from repro.selection.base import RegionSelector, fast_hooks
 from repro.selection.registry import make_selector
 from repro.config import SystemConfig
 from repro.system.results import RunResult, RunStats, TimelineSample
@@ -73,24 +81,6 @@ class StepHook(Protocol):
     def on_step(self, step_index: int) -> None: ...
 
     def on_finish(self, step_index: int) -> None: ...
-
-
-def _raw_hook(selector, name: str):
-    """Resolve the selector's ``<name>_raw`` fast hook, if trustworthy.
-
-    The raw variant is used only when the class that provides the
-    ``Step``-taking hook in the MRO *also* provides the raw one: a
-    subclass that overrides just the ``Step`` hook must win, or the
-    fast path would silently bypass its override.
-    """
-    raw_name = name + "_raw"
-    for klass in type(selector).__mro__:
-        namespace = vars(klass)
-        if name in namespace or raw_name in namespace:
-            if name in namespace and raw_name in namespace:
-                return getattr(selector, raw_name)
-            return None
-    return None
 
 
 class _TimelineSampler:
@@ -159,10 +149,6 @@ class Simulator:
             self.config.cache_capacity_bytes, self.config.cache_eviction_policy
         )
         self.cache.observer = self.observer
-        if program.is_finalized:
-            # Finalized programs carry dense block ids; flat id-indexed
-            # residency replaces dict hashing in the fast paths.
-            self.cache.bind_program(program)
         self.selector: RegionSelector = make_selector(
             selector_name, self.cache, self.config, program
         )
@@ -185,35 +171,33 @@ class Simulator:
     def run(self, steps: Iterable[Step]) -> RunResult:
         """Consume a step stream and return the measured result.
 
-        This is the *reference* pull-mode pipeline: any iterable of
+        The pull face of the reference state machine: any iterable of
         :class:`Step` objects works (a live engine generator, a replay,
-        a hand-built list).  The fused fast path —
-        :meth:`run_program` / :meth:`run_push` — produces bit-identical
-        results without the per-step ``Step`` traffic.
+        a hand-built list).  Each step is fed to the same callback
+        :meth:`run_push` hands its producer.
         """
-        return self._execute(
-            lambda stats, edge_profile, step_hooks, events_on, prof:
-            self._run_loop(steps, stats, edge_profile, step_hooks,
-                           events_on, prof)
-        )
+        def feed(consume) -> None:
+            for step in steps:
+                consume(step.block, step.taken, step.target)
+
+        return self.run_push(feed)
 
     def run_push(self, producer) -> RunResult:
-        """Fast path: consume a push-mode step producer.
+        """Consume a push-mode step producer and return the result.
 
-        ``producer`` is called once with a ``consume(block, taken,
-        target)`` callback and must invoke it for every step in order
-        (e.g. :meth:`ExecutionEngine.run_into
+        The push face of the reference state machine.  ``producer`` is
+        called once with a ``consume(block, taken, target)`` callback
+        and must invoke it for every step in order (e.g.
+        :meth:`ExecutionEngine.run_into
         <repro.execution.engine.ExecutionEngine.run_into>` or
-        :func:`repro.tracing.replay_trace_into` via ``partial``).  The
-        per-step simulator logic runs inside the callback, so the whole
-        execute→simulate pipeline is one fused loop with no generator
-        suspension and no ``Step`` allocation outside selector
-        callbacks.  Results are bit-identical to :meth:`run` over the
-        equivalent stream.
+        :func:`repro.tracing.replay_trace_into` via ``partial``), so a
+        replay runs with no generator suspension.  Results are
+        bit-identical to :meth:`run` over the equivalent stream and to
+        the fused :meth:`run_program`.
         """
         return self._execute(
             lambda stats, edge_profile, step_hooks, events_on, prof:
-            self._run_push(producer, stats, edge_profile, step_hooks,
+            self._run_loop(producer, stats, edge_profile, step_hooks,
                            events_on, prof)
         )
 
@@ -241,7 +225,8 @@ class Simulator:
         )
 
     def _execute(self, loop) -> RunResult:
-        """Shared run scaffolding around one of the two loop bodies."""
+        """Shared run scaffolding around the reference state machine
+        (:meth:`_run_loop`) or the fused loop (:meth:`_run_fused`)."""
         stats = RunStats()
         edge_profile: Dict[Tuple[BasicBlock, BasicBlock], int] = {}
         selector = self.selector
@@ -340,172 +325,6 @@ class Simulator:
 
     def _run_loop(
         self,
-        steps: Iterable[Step],
-        stats: RunStats,
-        edge_profile: Dict[Tuple[BasicBlock, BasicBlock], int],
-        step_hooks: Tuple[StepHook, ...],
-        events_on: bool,
-        prof,
-    ) -> int:
-        """The hot loop; returns the final step index.
-
-        Instrumentation is branch-gated on ``events_on`` / ``prof`` so
-        the disabled path stays identical to the uninstrumented loop.
-        """
-        selector = self.selector
-        cache = self.cache
-        icache = self.icache
-        obs = self.observer
-        step_index = 0
-
-        region: Optional[Region] = None  # None => interpreting
-        trace_position = 0
-        region_is_trace = False
-
-        if prof is not None:
-            prof.enter("interpret")
-        for step in steps:
-            step_index += 1
-            cache.now = step_index
-            if step_hooks:
-                for hook in step_hooks:
-                    hook.on_step(step_index)
-            block = step.block
-            taken = step.taken
-            target = step.target
-
-            if target is not None:
-                edge = (block, target)
-                count = edge_profile.get(edge)
-                edge_profile[edge] = 1 if count is None else count + 1
-
-            if region is None:
-                # ---- interpreting -------------------------------------
-                selector.observe_interpreted(step)
-                stats.interp_steps += 1
-                stats.interp_instructions += block.bundle.count
-                if taken and target is not None:
-                    entered = cache.lookup(target)
-                    if entered is not None:
-                        # The branch entering the cache is a history
-                        # boundary: never profiled (Figure 5 lines 1-3),
-                        # but LEI records it so its buffer has no gaps.
-                        selector.on_cache_enter(step)
-                    else:
-                        if prof is not None:
-                            prof.enter("selector_decide")
-                            entered = selector.on_interpreted_taken(step)
-                            prof.exit()
-                        else:
-                            entered = selector.on_interpreted_taken(step)
-                        if entered is not None and entered.entry is not target:
-                            raise SelectionError(
-                                f"selector {selector.name} returned a region "
-                                f"entered at {entered.entry.full_label} for a "
-                                f"branch to {target.full_label}"
-                            )
-                    if entered is not None:
-                        region = entered
-                        region_is_trace = entered.is_trace
-                        trace_position = 0
-                        region.entry_count += 1
-                        stats.cache_entries += 1
-                        if prof is not None:
-                            prof.switch("cache_walk")
-                        if events_on:
-                            obs.emit(
-                                "cache_entered",
-                                step_index,
-                                entry=target.full_label,
-                                order=region.selection_order,
-                            )
-                continue
-
-            # ---- executing in the cache -------------------------------
-            count = block.bundle.count
-            stats.cache_steps += 1
-            stats.cache_instructions += count
-            region.executed_instructions += count
-            if icache is not None:
-                base = region.cache_address
-                if base is not None:
-                    if region_is_trace:
-                        offset = region.position_offsets[trace_position]
-                    else:
-                        offset = region.block_offsets[block]
-                    icache.touch(base + offset, block.byte_size)
-
-            if region_is_trace:
-                next_position = region.position_after(trace_position, taken, target)
-                if next_position is not None:
-                    if next_position == 0 and taken:
-                        region.cycle_backs += 1
-                    trace_position = next_position
-                    continue
-            else:
-                if region.stays_internal(block, taken, target):
-                    if target is region.entry:
-                        region.cycle_backs += 1
-                    continue
-
-            # The transfer leaves the region.
-            region.exit_count += 1
-            if target is None:
-                region = None
-                if prof is not None:
-                    prof.switch("interpret")
-                continue
-            linked = cache.lookup(target)
-            if linked is not None:
-                # A linked exit stub: direct region-to-region jump.
-                stats.region_transitions += 1
-                region = linked
-                region_is_trace = linked.is_trace
-                trace_position = 0
-                region.entry_count += 1
-                continue
-            # Exit to the interpreter; the exit target becomes a start
-            # candidate, and (LEI) may complete a cycle that installs and
-            # immediately enters a new region.
-            stats.cache_exits += 1
-            exited_region = region
-            region = None
-            if prof is not None:
-                prof.switch("interpret")
-            if events_on:
-                obs.emit(
-                    "cache_exit",
-                    step_index,
-                    region_entry=exited_region.entry.full_label,
-                    order=exited_region.selection_order,
-                    exit_target=target.full_label,
-                )
-            if prof is not None:
-                prof.enter("selector_decide")
-                selector.on_cache_exit(step, exited_region)
-                prof.exit()
-            else:
-                selector.on_cache_exit(step, exited_region)
-            installed = cache.lookup(target)
-            if installed is not None:
-                region = installed
-                region_is_trace = installed.is_trace
-                trace_position = 0
-                region.entry_count += 1
-                stats.cache_entries += 1
-                if prof is not None:
-                    prof.switch("cache_walk")
-                if events_on:
-                    obs.emit(
-                        "cache_entered",
-                        step_index,
-                        entry=target.full_label,
-                        order=region.selection_order,
-                    )
-        return step_index
-
-    def _run_push(
-        self,
         producer,
         stats: RunStats,
         edge_profile: Dict[Tuple[BasicBlock, BasicBlock], int],
@@ -513,22 +332,18 @@ class Simulator:
         events_on: bool,
         prof,
     ) -> int:
-        """The fused fast loop: :meth:`_run_loop`'s body as a callback.
+        """The reference state machine; returns the final step index.
 
-        The per-step logic is a closure handed to ``producer``, so the
-        producer's own loop (the engine's ``run_into`` or the trace
-        decoder's ``steps_into``) drives the simulation directly — no
-        generator suspension, no :class:`Step` unpacking.  ``Step``
-        objects are built only where selectors need them: on every
-        interpreted step and at cache exits; the cache walk — the bulk
-        of a hot run — allocates nothing.  Residency lookups index the
-        cache's flat id-keyed mirror when a finalized program is bound
-        (one list index per taken branch instead of a dict probe), and
-        the region walk inlines ``position_after`` /
-        ``stays_internal`` against locals rebound at region entry.
-        Must mirror :meth:`_run_loop` decision-for-decision (the
-        bit-identity suite in ``tests/test_fast_path.py`` compares the
-        two).
+        Figure 1's dispatch as one ``consume(block, taken, target)``
+        callback, handed to ``producer``, which calls it once per
+        executed block in order.  :meth:`run` feeds it from a step
+        iterable, :meth:`run_push` from a push-mode producer, so both
+        drive this one body.  ``Step`` records are built only where
+        selectors take them: on every interpreted step and at cache
+        exits.
+
+        Instrumentation is branch-gated on ``events_on`` / ``prof`` so
+        the disabled path stays identical to the uninstrumented loop.
         """
         selector = self.selector
         cache = self.cache
@@ -538,37 +353,17 @@ class Simulator:
         on_interpreted_taken = selector.on_interpreted_taken
         on_cache_enter = selector.on_cache_enter
         on_cache_exit = selector.on_cache_exit
-        cache_lookup = cache.lookup
-        # Flat id-indexed residency (``bind_program``).  Identity of
-        # the resident region's entry is still the lookup contract, so
-        # a block with a colliding id (hand-built streams over another
-        # program) can never match; blocks without ids fall out as
-        # not-cached, exactly like the dict probe they replace.
-        resident = cache._resident_by_id
-        use_flat = resident is not None
+        lookup = cache.lookup
         edge_get = edge_profile.get
         make_step = Step
-        profiled = prof is not None
 
         step_index = 0
         region: Optional[Region] = None  # None => interpreting
         trace_position = 0
         region_is_trace = False
-        # Per-region walk locals, rebound at each region entry — the
-        # inlined twins of TraceRegion.position_after and
-        # CFGRegion.stays_internal, so a walk step makes no method call.
-        path: Tuple[BasicBlock, ...] = ()
-        path_len = 0
-        path0: Optional[BasicBlock] = None
-        cur_blocks: FrozenSet[BasicBlock] = frozenset()
-        cur_edges: FrozenSet[Tuple[BasicBlock, BasicBlock]] = frozenset()
-        cur_dynamic: FrozenSet[BasicBlock] = frozenset()
-        cur_entry: Optional[BasicBlock] = None
 
         def consume(block, taken, target):
             nonlocal step_index, region, trace_position, region_is_trace
-            nonlocal path, path_len, path0
-            nonlocal cur_blocks, cur_edges, cur_dynamic, cur_entry
             step_index += 1
             cache.now = step_index
             if step_hooks:
@@ -580,29 +375,21 @@ class Simulator:
                 count = edge_get(edge)
                 edge_profile[edge] = 1 if count is None else count + 1
 
-            current = region
-            if current is None:
+            if region is None:
                 # ---- interpreting -------------------------------------
                 step = make_step(block, taken, target)
                 observe_interpreted(step)
                 stats.interp_steps += 1
                 stats.interp_instructions += block.bundle.count
                 if taken and target is not None:
-                    if use_flat:
-                        tid = target.block_id
-                        entered = resident[tid] if tid is not None else None
-                        if (entered is not None
-                                and entered.entry is not target):
-                            entered = None
-                    else:
-                        entered = cache_lookup(target)
+                    entered = lookup(target)
                     if entered is not None:
                         # The branch entering the cache is a history
                         # boundary: never profiled (Figure 5 lines 1-3),
                         # but LEI records it so its buffer has no gaps.
                         on_cache_enter(step)
                     else:
-                        if profiled:
+                        if prof is not None:
                             prof.enter("selector_decide")
                             entered = on_interpreted_taken(step)
                             prof.exit()
@@ -618,18 +405,9 @@ class Simulator:
                         region = entered
                         region_is_trace = entered.is_trace
                         trace_position = 0
-                        if region_is_trace:
-                            path = entered.path
-                            path_len = len(path)
-                            path0 = path[0]
-                        else:
-                            cur_blocks = entered.block_set
-                            cur_edges = entered.edges
-                            cur_dynamic = entered.dynamic_blocks
-                            cur_entry = entered.entry
                         entered.entry_count += 1
                         stats.cache_entries += 1
-                        if profiled:
+                        if prof is not None:
                             prof.switch("cache_walk")
                         if events_on:
                             obs.emit(
@@ -641,6 +419,7 @@ class Simulator:
                 return
 
             # ---- executing in the cache -------------------------------
+            current = region
             count = block.bundle.count
             stats.cache_steps += 1
             stats.cache_instructions += count
@@ -655,55 +434,32 @@ class Simulator:
                     icache.touch(base + offset, block.byte_size)
 
             if region_is_trace:
-                # Inlined TraceRegion.position_after: advance to the
-                # next path block, or a taken branch back to the top.
-                next_position = trace_position + 1
-                if next_position < path_len and target is path[next_position]:
+                next_position = current.position_after(
+                    trace_position, taken, target)
+                if next_position is not None:
+                    if next_position == 0 and taken:
+                        current.cycle_backs += 1
                     trace_position = next_position
                     return
-                if taken and target is path0:
+            elif current.stays_internal(block, taken, target):
+                if target is current.entry:
                     current.cycle_backs += 1
-                    trace_position = 0
-                    return
-            else:
-                # Inlined CFGRegion.stays_internal.
-                if target is not None and target in cur_blocks and (
-                        not taken
-                        or block not in cur_dynamic
-                        or (block, target) in cur_edges):
-                    if target is cur_entry:
-                        current.cycle_backs += 1
-                    return
+                return
 
             # The transfer leaves the region.
             current.exit_count += 1
             if target is None:
                 region = None
-                if profiled:
+                if prof is not None:
                     prof.switch("interpret")
                 return
-            if use_flat:
-                tid = target.block_id
-                linked = resident[tid] if tid is not None else None
-                if linked is not None and linked.entry is not target:
-                    linked = None
-            else:
-                linked = cache_lookup(target)
+            linked = lookup(target)
             if linked is not None:
                 # A linked exit stub: direct region-to-region jump.
                 stats.region_transitions += 1
                 region = linked
                 region_is_trace = linked.is_trace
                 trace_position = 0
-                if region_is_trace:
-                    path = linked.path
-                    path_len = len(path)
-                    path0 = path[0]
-                else:
-                    cur_blocks = linked.block_set
-                    cur_edges = linked.edges
-                    cur_dynamic = linked.dynamic_blocks
-                    cur_entry = linked.entry
                 linked.entry_count += 1
                 return
             # Exit to the interpreter; the exit target becomes a start
@@ -711,7 +467,7 @@ class Simulator:
             # immediately enters a new region.
             stats.cache_exits += 1
             region = None
-            if profiled:
+            if prof is not None:
                 prof.switch("interpret")
             if events_on:
                 obs.emit(
@@ -722,35 +478,20 @@ class Simulator:
                     exit_target=target.full_label,
                 )
             step = make_step(block, taken, target)
-            if profiled:
+            if prof is not None:
                 prof.enter("selector_decide")
                 on_cache_exit(step, current)
                 prof.exit()
             else:
                 on_cache_exit(step, current)
-            if use_flat:
-                tid = target.block_id
-                installed = resident[tid] if tid is not None else None
-                if installed is not None and installed.entry is not target:
-                    installed = None
-            else:
-                installed = cache_lookup(target)
+            installed = lookup(target)
             if installed is not None:
                 region = installed
                 region_is_trace = installed.is_trace
                 trace_position = 0
-                if region_is_trace:
-                    path = installed.path
-                    path_len = len(path)
-                    path0 = path[0]
-                else:
-                    cur_blocks = installed.block_set
-                    cur_edges = installed.edges
-                    cur_dynamic = installed.dynamic_blocks
-                    cur_entry = installed.entry
                 installed.entry_count += 1
                 stats.cache_entries += 1
-                if profiled:
+                if prof is not None:
                     prof.switch("cache_walk")
                 if events_on:
                     obs.emit(
@@ -760,7 +501,7 @@ class Simulator:
                         order=installed.selection_order,
                     )
 
-        if profiled:
+        if prof is not None:
             prof.enter("interpret")
         producer(consume)
         return step_index
@@ -776,10 +517,10 @@ class Simulator:
     ) -> int:
         """The fully fused live loop: engine + simulator in one frame.
 
-        :meth:`run_program`'s loop body.  Where :meth:`_run_push` still
-        pays one consumer call per step, this loop inlines the engine's
-        block-decision dispatch *and* the simulator's per-step logic
-        into a single ``while`` over compiled *walk tables*
+        :meth:`run_program`'s loop body.  Where the reference state
+        machine pays one consumer call per step, this loop inlines the
+        engine's block-decision dispatch *and* the simulator's per-step
+        logic into a single ``while`` over compiled *walk tables*
         (:mod:`repro.cache.dispatch`): every region install compiles a
         flat per-position table — pre-bound decision closure,
         instruction count, layout offsets, patched trace links — so a
@@ -831,26 +572,8 @@ class Simulator:
         icache = self.icache
         obs = self.observer
 
-        base = RegionSelector
-        bound_observe = selector.observe_interpreted
-        observe_interpreted = (
-            None
-            if getattr(bound_observe, "__func__", None)
-            is base.observe_interpreted
-            else bound_observe
-        )
-        bound_enter = selector.on_cache_enter
-        on_cache_enter = (
-            None
-            if getattr(bound_enter, "__func__", None) is base.on_cache_enter
-            else bound_enter
-        )
-        on_interpreted_taken = selector.on_interpreted_taken
-        on_cache_exit = selector.on_cache_exit
-        # Allocation-free hook variants (LEI ships them); ``None`` means
-        # build a Step and use the standard hook.
-        on_taken_raw = _raw_hook(selector, "on_interpreted_taken")
-        on_enter_raw = _raw_hook(selector, "on_cache_enter")
+        (observe_interpreted, on_cache_enter, on_interpreted_taken,
+         on_cache_exit, on_taken_raw, on_enter_raw) = fast_hooks(selector)
         edge_get = edge_profile.get
         make_step = Step
         profiled = prof is not None
@@ -1362,8 +1085,9 @@ def simulate(
     streams instead.
 
     ``fast`` selects the fused execute→simulate pipeline (the default;
-    see :meth:`Simulator.run_program`); ``fast=False`` runs the
-    reference generator pipeline instead.  The two produce bit-identical
+    see :meth:`Simulator.run_program`); ``fast=False`` feeds the
+    engine's generator into the reference state machine instead
+    (:meth:`Simulator.run`).  The two produce bit-identical
     results — the flag only exists so tests and debugging sessions can
     pin a path (see ``docs/performance.md``).
     """

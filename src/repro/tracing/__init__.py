@@ -9,14 +9,16 @@ them to the region-selection simulator.  We provide the same decoupling:
   :class:`~repro.execution.Step` stream from the file;
 * :func:`~repro.tracing.collector.replay_trace_into` pushes the same
   stream into a ``consumer(block, taken, target)`` callback — the
-  allocation-free twin that feeds the simulator's fused pipeline
+  allocation-free twin that feeds the simulator's reference state
+  machine by push
   (:meth:`Simulator.run_push <repro.system.simulator.Simulator.run_push>`).
 
-Because the simulator accepts any iterable of steps, experiments can be
-run live (engine → simulator) or in the classic two-phase style
-(collect once, replay for every selection algorithm) with bit-identical
-results — the property the paper's footnote 4 highlights ("all details
-of region selection have been abstracted out of the framework").
+Because the simulator accepts any step stream, pulled or pushed,
+experiments can be run live (engine → simulator) or in the classic
+two-phase style (collect once, replay for every selection algorithm)
+with bit-identical results — the property the paper's footnote 4
+highlights ("all details of region selection have been abstracted out
+of the framework").
 """
 
 from repro.tracing.records import TraceHeader

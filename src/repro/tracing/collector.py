@@ -51,10 +51,11 @@ def replay_trace_into(
 ) -> int:
     """Push the recorded stream of ``path`` into ``consumer``.
 
-    The fast-path twin of :func:`replay_trace`: pair it with
+    The push twin of :func:`replay_trace`: pair it with
     :meth:`Simulator.run_push
     <repro.system.simulator.Simulator.run_push>` to replay a collected
-    trace through the fused pipeline —
+    trace into the reference state machine with no generator
+    suspension and no :class:`Step` allocation in the decoder —
 
     >>> simulator.run_push(
     ...     lambda consume: replay_trace_into(path, program, consume)

@@ -92,12 +92,12 @@ class TraceReader:
     ) -> int:
         """Push-decode: call ``consumer(block, taken, target)`` per record.
 
-        The fast-path twin of :meth:`steps` — identical chunked parse
-        and identical error behaviour, but no generator suspension and
-        no :class:`Step` allocation, so a replayed run can feed the
-        simulator's fused consume loop
-        (:meth:`~repro.system.simulator.Simulator.run_push`) at
-        near-live speed.  Returns the number of records decoded.
+        The push twin of :meth:`steps` — identical chunked parse and
+        identical error behaviour, but no generator suspension and no
+        :class:`Step` allocation, so a replayed run feeds the
+        simulator's reference ``consume`` callback directly
+        (:meth:`~repro.system.simulator.Simulator.run_push`).  Returns
+        the number of records decoded.
         """
         blocks = self._program.blocks
         read = self._stream.read

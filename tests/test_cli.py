@@ -132,6 +132,39 @@ class TestErrorReporting:
         assert "no event log" in capsys.readouterr().err
 
     @staticmethod
+    def _assert_one_line_error(capsys, code, starts_with):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: " + starts_with), err
+        assert err.count("\n") == 1
+
+    def test_replay_missing_trace(self, tmp_path, capsys):
+        code = main(["replay", str(tmp_path / "nope.rtrc"), "net"])
+        self._assert_one_line_error(capsys, code, "[Errno 2]")
+
+    def test_replay_truncated_trace(self, tmp_path, capsys):
+        trace = tmp_path / "gzip.rtrc"
+        assert main(["collect", "gzip", "--scale", "0.05",
+                     "-o", str(trace)]) == 0
+        capsys.readouterr()
+        prefix = tmp_path / "prefix.rtrc"
+        prefix.write_bytes(trace.read_bytes()[:100])
+        code = main(["replay", str(prefix), "net", "--scale", "0.05"])
+        self._assert_one_line_error(capsys, code, "trailing bytes")
+
+    def test_replay_garbage_file(self, tmp_path, capsys):
+        garbage = tmp_path / "garbage.rtrc"
+        garbage.write_bytes(b"garbage")
+        code = main(["replay", str(garbage), "net"])
+        self._assert_one_line_error(capsys, code, "truncated trace header")
+
+    def test_collect_to_missing_directory(self, tmp_path, capsys):
+        output = tmp_path / "no" / "such" / "dir" / "x.rtrc"
+        code = main(["collect", "gzip", "--scale", "0.05",
+                     "-o", str(output)])
+        self._assert_one_line_error(capsys, code, "[Errno 2]")
+
+    @staticmethod
     def _fake_run():
         return {
             "bench_version": 1,

@@ -1,12 +1,12 @@
 """Bit-identity suite for the fused fast path (execute→simulate).
 
-The simulator has three pipeline implementations — the reference pull
-generator (``Simulator.run``), the generic push consumer
-(``Simulator.run_push``, used for replay) and the fully fused loop
-(``Simulator.run_program``).  Everything here pins them to each other:
-for every (benchmark × selector) cell the fast paths must reproduce the
-reference results *bit for bit* — metric report, raw run statistics,
-edge profile, selector diagnostics and timeline samples.
+The simulator has two loop bodies — the reference state machine, fed
+by pull (``Simulator.run``) or by push (``Simulator.run_push``, used
+for replay), and the fully fused loop (``Simulator.run_program``).
+Everything here pins them to each other: for every (benchmark ×
+selector) cell the fused loop and both feeds of the reference must
+agree *bit for bit* — metric report, raw run statistics, edge profile,
+selector diagnostics and timeline samples.
 
 The trace codec gets the same treatment: the push-mode writer/decoder
 pair (``TraceWriter.write`` / ``TraceReader.steps_into``) must agree
@@ -161,18 +161,44 @@ class TestLinkingIdentity:
 
 
 class TestReplayMatchesLive:
-    @pytest.mark.parametrize("selector", SELECTOR_NAMES)
-    def test_collected_trace_replays_identically(self, tmp_path, programs,
-                                                 selector):
+    """Replay, pulled or pushed, into unbounded and evicting caches.
+
+    Capacity 300 evicts for every selector on gzip at this scale (see
+    :class:`TestBoundedCacheIdentity`); asserted here too.
+    """
+
+    CONFIGS = {
+        "unbounded": SystemConfig(),
+        "bounded-fifo": SystemConfig(cache_capacity_bytes=300,
+                                     cache_eviction_policy="fifo"),
+        "bounded-flush": SystemConfig(cache_capacity_bytes=300,
+                                      cache_eviction_policy="flush"),
+    }
+
+    @pytest.fixture(scope="class")
+    def gzip_trace(self, programs, tmp_path_factory):
+        """gzip's seed-0 trace, collected once: (path, steps written)."""
+        trace = tmp_path_factory.mktemp("replay") / "trace.rtrc"
+        written = collect_trace(ExecutionEngine(programs["gzip"], seed=0),
+                                trace)
+        return trace, written
+
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+    @pytest.mark.parametrize("selector", ALL_SELECTORS)
+    def test_collected_trace_replays_identically(self, programs, gzip_trace,
+                                                 selector, config_name):
         program = programs["gzip"]
-        trace = tmp_path / "trace.rtrc"
-        written = collect_trace(ExecutionEngine(program, seed=0), trace)
+        config = self.CONFIGS[config_name]
+        trace, written = gzip_trace
 
-        live = simulate(program, selector, seed=0)
+        live = simulate(program, selector, config, seed=0)
         assert written == live.stats.interp_steps + live.stats.cache_steps
+        if config.cache_capacity_bytes is not None:
+            assert live.cache_evictions > 0
 
-        pull = Simulator(program, selector).run(replay_trace(trace, program))
-        push = Simulator(program, selector).run_push(
+        pull = Simulator(program, selector, config).run(
+            replay_trace(trace, program))
+        push = Simulator(program, selector, config).run_push(
             lambda consume: replay_trace_into(trace, program, consume)
         )
         assert _fingerprint(pull) == _fingerprint(live)

@@ -102,24 +102,31 @@ class TestDisabledFastPath:
     def test_disabled_overhead_under_ten_percent(self):
         program = build_benchmark("gzip", scale=0.1)
 
-        def best_of(runs, observer_factory):
-            best = float("inf")
-            for _ in range(runs):
-                observer = observer_factory()
-                start = time.perf_counter()
-                simulate(program, "lei", seed=1, observer=observer)
-                best = min(best, time.perf_counter() - start)
-            return best
+        def timed(observer):
+            start = time.perf_counter()
+            simulate(program, "lei", seed=1, observer=observer)
+            return time.perf_counter() - start
+
+        def enabled_observer():
+            return Observer(
+                metrics=MetricsRegistry(),
+                sink=CollectingSink(),
+                profiler=SpanTimer(),
+            )
 
         # Warm caches/imports so neither side pays first-run costs.
         simulate(program, "lei", seed=1)
 
-        disabled = best_of(3, lambda: None)
-        enabled = best_of(3, lambda: Observer(
-            metrics=MetricsRegistry(),
-            sink=CollectingSink(),
-            profiler=SpanTimer(),
-        ))
+        # Alternate the two sides run by run, flipping which goes
+        # first, so a drift in host speed lands on both sides alike.
+        disabled = enabled = float("inf")
+        for round_index in range(5):
+            if round_index % 2:
+                enabled = min(enabled, timed(enabled_observer()))
+                disabled = min(disabled, timed(None))
+            else:
+                disabled = min(disabled, timed(None))
+                enabled = min(enabled, timed(enabled_observer()))
         # Disabled mode must not be more than 10% slower than enabled mode
         # (it should in fact be faster; the inequality direction is the
         # guard the issue asks for, stated against the noisier bound).

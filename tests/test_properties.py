@@ -6,6 +6,7 @@ the properties then assert conservation laws and algorithm invariants
 that must hold for *any* program.
 """
 
+from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -16,6 +17,7 @@ from repro.behavior.models import LoopTrip
 from repro.behavior.rng import SplitMix64
 from repro.config import SystemConfig
 from repro.execution.engine import ExecutionEngine
+from repro.metrics.summary import MetricReport
 from repro.program.builder import ProgramBuilder
 from repro.selection.compact import CompactTrace
 from repro.selection.counters import CounterTable
@@ -146,6 +148,57 @@ class TestSimulatorConservation:
         for region in result.regions:
             assert region.block_set <= universe
             assert region.entry in region.block_set
+
+
+def _fingerprint(result):
+    """Report, raw statistics, edge profile and selector diagnostics."""
+    stats = {
+        name: getattr(result.stats, name) for name in result.stats.__slots__
+    }
+    return (
+        MetricReport.from_result(result),
+        stats,
+        result.edge_profile,
+        result.selector_diagnostics,
+    )
+
+
+class TestPipelinesAgree:
+    """The reference state machine, fed by pull or by push, and the
+    fused fast core agree on any generated program."""
+
+    # Examples run in milliseconds, and only about a third of the
+    # bounded ones select enough regions to evict, so draw more.
+    @settings(COMMON, max_examples=100)
+    @given(small_programs(), st.sampled_from(SELECTORS),
+           st.sampled_from((None, "fifo", "flush")))
+    def test_pull_push_and_fused_fingerprints_equal(
+            self, program_seed, selector, policy):
+        program, seed = program_seed
+        config = SystemConfig(net_threshold=6, lei_threshold=5,
+                              combined_net_t_start=3, combined_lei_t_start=2,
+                              combine_t_prof=3, combine_t_min=2)
+
+        def engine():
+            return ExecutionEngine(program, seed=seed, max_steps=30_000)
+
+        if policy is not None:
+            # Half of what an unbounded run installs: every run that
+            # selects two or more regions must evict.
+            unbounded = Simulator(program, selector, config).run_program(
+                engine())
+            capacity = max(1, unbounded.cache.resident_bytes // 2)
+            config = replace(config, cache_capacity_bytes=capacity,
+                             cache_eviction_policy=policy)
+
+        pull = Simulator(program, selector, config).run(engine().run())
+        push = Simulator(program, selector, config).run_push(
+            engine().run_into)
+        fused = Simulator(program, selector, config).run_program(engine())
+        if policy is not None and len(unbounded.regions) >= 2:
+            assert pull.cache_evictions > 0
+        assert _fingerprint(push) == _fingerprint(pull)
+        assert _fingerprint(fused) == _fingerprint(pull)
 
 
 class TestLEITraceProperties:
