@@ -2,11 +2,13 @@
 
 The batched backend runs an entire experiment grid or seed-stability
 sweep as a *fleet* — one lane per (benchmark, selector, scale, seed)
-cell — advancing every trace-walking lane in lockstep over
-structure-of-arrays state, numpy-backed when the ``repro[fast]`` extra
-is installed and pure Python otherwise.  The serial fused pipeline
-remains the bit-identity oracle: per-cell reports and store digests
-are identical by construction and by test.  See ``docs/batching.md``.
+cell — advancing every region-walking lane in lockstep over numpy
+structure-of-arrays state when the ``repro[fast]`` extra is installed
+and the fleet is wide enough to fill a vector round.  Every other
+fleet runs its cells one after another on the serial fused core.  The
+serial pipeline remains the bit-identity oracle: per-cell reports and
+store digests are identical by construction and by test.  See
+``docs/batching.md``.
 """
 
 from repro.batch.backend import (

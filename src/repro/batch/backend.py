@@ -1,13 +1,14 @@
 """Array backends for the batched fleet kernel.
 
 The kernel (:mod:`repro.batch.kernel`) keeps all cross-lane state in
-structure-of-arrays columns: per-lane step counters, walk-table program
-counters, branch-model site state and one SplitMix64 state word per
-lane.  This module answers exactly two questions for it:
+structure-of-arrays numpy columns: per-lane step counters, walk-table
+program counters, branch-model site state and one SplitMix64 state
+word per lane.  This module answers exactly two questions for it:
 
-* which array substrate to use — ``numpy`` when importable (the
-  ``repro[fast]`` extra), a plain Python ``list`` otherwise, so the
-  stdlib-only install keeps every batched entry point working; and
+* which backend a fleet resolves to — ``numpy`` when importable (the
+  ``repro[fast]`` extra), ``python`` otherwise, under which every
+  fleet runs its cells on the serial fused core, so the stdlib-only
+  install keeps every batched entry point working; and
 * how to draw random numbers from SoA-resident RNG state **without
   perturbing the stream** the scalar pipeline would produce.
 
@@ -35,7 +36,8 @@ try:  # pragma: no cover - exercised via both backend parametrizations
 except ImportError:  # pragma: no cover - numpy is present in CI
     _numpy = None
 
-#: ``numpy`` module when importable, else ``None`` (pure-Python mode).
+#: ``numpy`` module when importable, else ``None`` (every fleet then
+#: runs on the fused core).
 HAVE_NUMPY = _numpy is not None
 
 #: SplitMix64 constants, shared with :class:`~repro.behavior.rng.SplitMix64`.
@@ -72,9 +74,9 @@ def numpy_module():
 #: Environment override for backend resolution.  ``auto`` requests
 #: resolve to its value, and :func:`available_backends` narrows to it —
 #: which is how CI runs the whole fleet bit-identity suite once per
-#: substrate (``REPRO_BATCH_BACKEND=python`` gates the pure-Python
-#: fallback, not just imports it).  Explicit ``get_backend("numpy")`` /
-#: ``("python")`` calls ignore the variable.
+#: backend (``REPRO_BATCH_BACKEND=python`` sends every ``auto`` fleet to
+#: the fused core).  Explicit ``get_backend("numpy")`` / ``("python")``
+#: calls ignore the variable.
 ENV_BACKEND = "REPRO_BATCH_BACKEND"
 
 
@@ -156,9 +158,8 @@ class LaneRng:
         self.states = states
         self.index = index
         # numpy's ``item()`` yields a Python int in one C call —
-        # measurably cheaper than scalar ``__getitem__`` + int(); a
-        # list's plain ``__getitem__`` already returns an int.
-        self._read = getattr(states, "item", states.__getitem__)
+        # measurably cheaper than scalar ``__getitem__`` + int().
+        self._read = states.item
 
     def next_u64(self) -> int:
         state = (self._read(self.index) + GAMMA) & _MASK64

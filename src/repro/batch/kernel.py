@@ -36,10 +36,10 @@ per-lane Python — scalar decisions (call/return stack effects,
 dynamic targets, unknown branch models) and unlinked exits (selector
 callbacks may install/evict regions) — then rejoins the next round.
 
-The pure-Python backend keeps the same lane lifecycle and per-lane
-scalar code but replaces the vector rounds with a per-lane trace walk
-(:meth:`repro.batch.lane.Lane.run_trace_scalar`); the arena is not
-built at all.  Either way, every decision replicates the fused
+The kernel is numpy-only.  :func:`repro.batch.fleet.run_fleet` builds
+one only when a vector round can run — on the numpy backend, with at
+least ``SCALAR_CUTOVER`` live lanes — and runs every other fleet on
+the serial fused core instead.  Every decision replicates the fused
 reference loop bit for bit — ``tests/test_batch.py`` holds a fleet
 lane equal to a serial ``simulate`` run for the same cell.
 """
@@ -106,6 +106,9 @@ DEFAULT_QUOTA = 512
 #: sweeps over chain, SPEC and mixed fleets put the crossover between
 #: ~24 (homogeneous, run-dominated tables) and ~96 (divergent mixed
 #: fleets); 48 is within noise of the best setting for each shape.
+#: :func:`repro.batch.fleet.vector_rounds_possible` reads it too: a
+#: fleet narrower than this could never sweep a vector round, so it
+#: runs on the fused core and no kernel is built.
 SCALAR_CUTOVER = 48
 
 #: Vector iterations per round.  Active lanes advance up to this many
@@ -149,7 +152,6 @@ class FleetKernel:
         cells,
         program_for: Callable[[str, float], object],
         config,
-        backend: str,
         max_steps: Optional[int] = None,
         quota: int = DEFAULT_QUOTA,
         compaction: bool = True,
@@ -158,13 +160,11 @@ class FleetKernel:
         on_settle: Optional[Callable] = None,
         on_admit: Optional[Callable] = None,
     ) -> None:
-        self.backend = backend
-        self.vectorized = backend == "numpy"
         self.quota = quota
         #: Lane compaction is a pure scheduling knob (lanes are
         #: independent, so slot order cannot change results) — but it
         #: is toggleable so the property suite can prove exactly that.
-        self.compaction = compaction and self.vectorized
+        self.compaction = compaction
         self.compactions = 0
         self.rounds = 0
         self.config = config
@@ -190,8 +190,6 @@ class FleetKernel:
         self.contain_errors = on_error == "continue"
         self.on_settle = on_settle
         self.on_admit = on_admit
-        self.errors = 0
-        self.refills = 0
         self.settled = 0
         self.active = 0
 
@@ -206,38 +204,28 @@ class FleetKernel:
         self.streaming = n < total
         self.queue = deque(cells[n:])
 
-        np = numpy_module() if self.vectorized else None
+        np = numpy_module()
         self._np = np
-        if self.vectorized:
-            self.l_steps = np.zeros(n, dtype=np.int64)
-            self.l_max = np.zeros(n, dtype=np.int64)
-            self.l_walk = np.zeros(n, dtype=np.int64)
-            self.l_gpos = np.zeros(n, dtype=np.int64)
-            self.l_mode = np.full(n, M_SCALAR, dtype=np.int8)
-            self.l_cinst = np.zeros(n, dtype=np.int64)
-            self.l_trans = np.zeros(n, dtype=np.int64)
-            self.l_depth = np.zeros(n, dtype=np.int64)
-            self.l_dlim = np.zeros(n, dtype=np.int64)
-            #: SoA call stack — ``stk[lane, depth]`` holds a pushed
-            #: return site's block id; allocated on the first
-            #: call/return decider (:meth:`ensure_stack`).
-            self.stk = None
-            self.rng_states = np.zeros(n, dtype=np.uint64)
-            # Branch-model site slots (loop countdowns, periodic
-            # cursors) and the flattened periodic patterns, shared
-            # between the vector rounds and the lanes' closures.
-            self.site = np.zeros(64, dtype=np.int64)
-            self.pat_arena = np.zeros(64, dtype=bool)
-            self._init_arena(np)
-        else:
-            self.l_steps = [0] * n
-            self.l_max = [0] * n
-            self.l_walk = [0] * n
-            self.l_gpos = [0] * n
-            self.l_mode = [M_SCALAR] * n
-            self.rng_states = [0] * n
-            self.site: List[int] = []
-            self.pat_arena = None
+        self.l_steps = np.zeros(n, dtype=np.int64)
+        self.l_max = np.zeros(n, dtype=np.int64)
+        self.l_walk = np.zeros(n, dtype=np.int64)
+        self.l_gpos = np.zeros(n, dtype=np.int64)
+        self.l_mode = np.full(n, M_SCALAR, dtype=np.int8)
+        self.l_cinst = np.zeros(n, dtype=np.int64)
+        self.l_trans = np.zeros(n, dtype=np.int64)
+        self.l_depth = np.zeros(n, dtype=np.int64)
+        self.l_dlim = np.zeros(n, dtype=np.int64)
+        #: SoA call stack — ``stk[lane, depth]`` holds a pushed return
+        #: site's block id; allocated on the first call/return decider
+        #: (:meth:`ensure_stack`).
+        self.stk = None
+        self.rng_states = np.zeros(n, dtype=np.uint64)
+        # Branch-model site slots (loop countdowns, periodic cursors)
+        # and the flattened periodic patterns, shared between the
+        # vector rounds and the lanes' closures.
+        self.site = np.zeros(64, dtype=np.int64)
+        self.pat_arena = np.zeros(64, dtype=bool)
+        self._init_arena(np)
         self._site_len = 0
         #: Site slots of settled lanes, reusable by admitted ones
         #: (zeroed at release — 0 is every model's idle encoding).
@@ -272,18 +260,14 @@ class FleetKernel:
         self.l_gpos[idx] = 0
         self.l_mode[idx] = M_SCALAR
         self.rng_states[idx] = cell.seed & _MASK64
-        if self.vectorized:
-            self.l_cinst[idx] = 0
-            self.l_trans[idx] = 0
-            self.l_depth[idx] = 0
+        self.l_cinst[idx] = 0
+        self.l_trans[idx] = 0
+        self.l_depth[idx] = 0
         lane = Lane(self, idx, cell, program, self.config, self._max_steps)
         self.l_max[idx] = lane.max_steps
-        if self.vectorized:
-            self.l_dlim[idx] = lane.engine.max_call_depth
+        self.l_dlim[idx] = lane.engine.max_call_depth
         self.lanes[idx] = lane
         self.active += 1
-        if not initial:
-            self.refills += 1
         if self.on_admit is not None:
             self.on_admit(cell, idx, initial)
 
@@ -311,7 +295,7 @@ class FleetKernel:
             del self._programs[key]
             self._interp_spans.pop(key, None)
 
-    # -- arena management (numpy backend) ---------------------------------
+    # -- arena management --------------------------------------------------
     #: ``a_tnext``/``a_fnext`` are CFG-only: the absolute arena
     #: position an internal taken/fall transfer lands on (-1 = the
     #: transfer leaves the region); ``a_tcyc``/``a_fcyc`` flag the
@@ -439,12 +423,9 @@ class FleetKernel:
             return free.pop()
         slot = self._site_len
         self._site_len += 1
-        if self.vectorized:
-            if slot >= self.site.shape[0]:
-                self.site = self._grown(self._np, self.site,
-                                        self.site.shape[0] * 2)
-        else:
-            self.site.append(0)
+        if slot >= self.site.shape[0]:
+            self.site = self._grown(self._np, self.site,
+                                    self.site.shape[0] * 2)
         return slot
 
     def alloc_pattern(self, pattern: Tuple[bool, ...]) -> int:
@@ -454,8 +435,6 @@ class FleetKernel:
         read afterwards, so every lane using the same pattern shares
         one copy — the arena cannot grow with admissions.
         """
-        if not self.vectorized:
-            return -1
         cached = self._pat_cache.get(pattern)
         if cached is not None:
             return cached
@@ -484,8 +463,6 @@ class FleetKernel:
         exact check order — advance to the next path position first,
         then taken-cycle-back to the top, else exit.
         """
-        if not self.vectorized:
-            return
         n = table.path_len
         base = self._arena_reserve(n)
         tidx = self._alloc_tidx(table)
@@ -601,8 +578,6 @@ class FleetKernel:
         run state (an observed-edge set membership, a popped stack
         frame), so they defer to the lane's own closure.
         """
-        if not self.vectorized:
-            return
         block_list = table.block_list
         n = len(block_list)
         base = self._arena_reserve(n)
@@ -760,8 +735,6 @@ class FleetKernel:
         region — called before any selector callback or metric read
         can observe it.
         """
-        if not self.vectorized:
-            return
         tidx = table.arena_tidx
         if tidx < 0:
             return
@@ -796,8 +769,6 @@ class FleetKernel:
         the position and direction; dict equality does not see
         insertion order).
         """
-        if not self.vectorized:
-            return
         base = table.arena_base
         if base < 0:
             return
@@ -890,7 +861,6 @@ class FleetKernel:
         )
         lane.mode = M_DONE
         self.l_mode[lane.idx] = M_DONE
-        self.errors += 1
         self.remaining -= 1
         self.settled += 1
         self.active -= 1
@@ -907,10 +877,9 @@ class FleetKernel:
 
         Branch-model site slots rejoin the free pool (zeroed — 0 is
         every model's idle encoding), the lane's program reference
-        drops (streaming runs release idle programs entirely), and on
-        the numpy backend every table the lane compiled — resident or
-        long evicted — returns its arena span and table index to the
-        free lists.  Spans are zeroed here rather than at reuse so a
+        drops (streaming runs release idle programs entirely), and
+        every table the lane compiled — resident or long evicted —
+        returns its arena span and table index to the free lists.  Spans are zeroed here rather than at reuse so a
         recycled span is indistinguishable from fresh storage, and the
         link-mirror entries keyed by container id are removed while
         the containers are still alive — after this the ids may be
@@ -923,8 +892,6 @@ class FleetKernel:
             for slot in sites:
                 site[slot] = 0
             self._site_free.extend(sites)
-        if not self.vectorized:
-            return
         for table in lane.dispatch.trace_tables:
             self._release_table(table, table.path_len)
         for table in lane.dispatch.cfg_tables:
@@ -980,65 +947,46 @@ class FleetKernel:
         lanes = self.lanes
         contain = self.contain_errors
         rounds = 0
-        if self.vectorized:
-            np = self._np
-            while self.remaining:
-                rounds += 1
-                vec_idx = np.nonzero(self.l_mode == M_VEC)[0]
-                # The emptiness check matters when the cutover is 0
-                # (forced-vector runs): an all-interp round has no
-                # vector lanes to sweep or compact.
-                if vec_idx.size and vec_idx.size >= SCALAR_CUTOVER:
-                    if (self.compaction and rounds % COMPACT_EVERY == 0
-                            and int(vec_idx[-1]) - int(vec_idx[0]) + 1
-                            > 2 * vec_idx.size):
-                        self._compact()
-                    self._vector_round()
-                else:
-                    # Lanes only ever change their own mode, so a
-                    # snapshot of the slot indices stays valid across
-                    # the sweep (a settled slot's successor starts in
-                    # scalar mode and is picked up below).
-                    for li in vec_idx.tolist():
-                        lane = lanes[li]
-                        self._err_lane = lane
-                        try:
-                            lane.run_trace_scalar(quota)
-                        except ReproError as exc:
-                            if not contain:
-                                raise
-                            self._fail_lane(lane, exc)
-                # This snapshot runs *after* the vector round, so lanes
-                # admitted while it settled finishers take their first
-                # interp pass in the same round — the refill keeps the
-                # active set wide with no idle round in between.
-                for li in np.nonzero(self.l_mode == M_SCALAR)[0].tolist():
+        np = self._np
+        while self.remaining:
+            rounds += 1
+            vec_idx = np.nonzero(self.l_mode == M_VEC)[0]
+            # The emptiness check matters when the cutover is 0
+            # (forced-vector runs): an all-interp round has no vector
+            # lanes to sweep or compact.
+            if vec_idx.size and vec_idx.size >= SCALAR_CUTOVER:
+                if (self.compaction and rounds % COMPACT_EVERY == 0
+                        and int(vec_idx[-1]) - int(vec_idx[0]) + 1
+                        > 2 * vec_idx.size):
+                    self._compact()
+                self._vector_round()
+            else:
+                # Lanes only ever change their own mode, so a snapshot
+                # of the slot indices stays valid across the sweep (a
+                # settled slot's successor starts in scalar mode and is
+                # picked up below).
+                for li in vec_idx.tolist():
                     lane = lanes[li]
                     self._err_lane = lane
                     try:
-                        lane.run_scalar(quota)
+                        lane.run_trace_scalar(quota)
                     except ReproError as exc:
                         if not contain:
                             raise
                         self._fail_lane(lane, exc)
-        else:
-            while self.remaining:
-                rounds += 1
-                for li in range(len(lanes)):
-                    lane = lanes[li]
-                    if lane is None:
-                        continue
-                    try:
-                        if lane.mode == M_SCALAR:
-                            self._err_lane = lane
-                            lane.run_scalar(quota)
-                        if lane.mode == M_VEC:
-                            self._err_lane = lane
-                            lane.run_trace_scalar(quota)
-                    except ReproError as exc:
-                        if not contain:
-                            raise
-                        self._fail_lane(lane, exc)
+            # This snapshot runs *after* the vector round, so lanes
+            # admitted while it settled finishers take their first
+            # interp pass in the same round — the refill keeps the
+            # active set wide with no idle round in between.
+            for li in np.nonzero(self.l_mode == M_SCALAR)[0].tolist():
+                lane = lanes[li]
+                self._err_lane = lane
+                try:
+                    lane.run_scalar(quota)
+                except ReproError as exc:
+                    if not contain:
+                        raise
+                    self._fail_lane(lane, exc)
         self.rounds = rounds
         return rounds
 

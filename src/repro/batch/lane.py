@@ -6,17 +6,20 @@ closures, edge profile, run statistics — while the *hot columns* (step
 counter, step budget, walk-table program counter, current-stint
 instruction count, branch-model site slots, the SplitMix64 state word)
 live in the kernel's structure-of-arrays storage, indexed by the
-lane's fleet slot.  The kernel advances every lane in trace-walk mode
-with vectorized sweeps; this module supplies the scalar complement:
+lane's fleet slot.  The kernel advances every region-walking lane
+(trace or CFG) with vectorized sweeps; this module supplies the scalar
+complement:
 
-* interpreting and CFG-region walking (:meth:`Lane.run_scalar`), a
-  per-lane transcription of the fused loop's interp/CFG sections in
+* interpreting (:meth:`Lane.run_scalar`), a per-lane transcription of
+  the fused loop's interp section in
   :meth:`repro.system.simulator.Simulator._run_fused`;
-* trace decisions the vector rounds cannot batch — call/return stack
-  effects, indirect branches, jittered or unknown branch models
-  (:meth:`Lane._trace_decide_scalar`);
+* region-walk decisions the vector rounds cannot batch — call/return
+  stack effects, indirect branches, unknown branch models
+  (:meth:`Lane._trace_decide_scalar`, :meth:`Lane._cfg_decide_scalar`);
 * region exits — link-slot chasing, selector callbacks, immediate
-  re-entry (:meth:`Lane._leave`), shared by both execution modes.
+  re-entry (:meth:`Lane._leave`);
+* the straggler walk (:meth:`Lane.run_trace_scalar`) for rounds with
+  too few region-walking lanes to fill a vector sweep.
 
 Every method mirrors the fused loop decision-for-decision: same hook
 resolution (:func:`~repro.selection.base.fast_hooks`), same
@@ -77,8 +80,7 @@ class LaneDispatch(DispatchTable):
     def __init__(self, program: Program, decider_for, lane: "Lane") -> None:
         super().__init__(program, decider_for)
         self._lane = lane
-        if lane.kernel.vectorized:
-            self.on_link_patch = lane.kernel.link_patched
+        self.on_link_patch = lane.kernel.link_patched
 
     def compile(self, region):
         table = super().compile(region)
@@ -112,8 +114,7 @@ class Lane:
         "observe_interpreted", "on_cache_enter", "on_interpreted_taken",
         "on_cache_exit", "on_taken_raw", "on_enter_raw",
         "interp_idle", "ispan_hits",
-        "block", "region", "cur_table", "cur_base", "cur_end", "trace_pos",
-        "cur_records", "cur_blocks", "cur_entry",
+        "block", "region", "cur_table", "cur_base", "cur_end",
         "interp_steps", "interp_insts", "cache_insts",
         "mode", "result", "report",
     )
@@ -197,10 +198,6 @@ class Lane:
         self.cur_table = None
         self.cur_base = 0
         self.cur_end = 0
-        self.trace_pos = 0
-        self.cur_records: Dict[BasicBlock, list] = {}
-        self.cur_blocks = frozenset()
-        self.cur_entry: Optional[BasicBlock] = None
 
         self.interp_steps = 0
         self.interp_insts = 0
@@ -223,15 +220,16 @@ class Lane:
         """Build the block's decider, SoA-backed where vectorizable.
 
         The stock models the vector rounds can batch — ``Bernoulli``,
-        jitter-free ``LoopTrip``, ``Periodic`` — get closures whose
-        state lives in kernel storage (the shared RNG column, a site
-        slot), so the interpret path and the vector path read and write
-        the *same* state.  Everything else (constants, call/return
-        stack effects, indirect branches, jittered/unknown models)
-        delegates to the engine's own closure factory, bound to this
-        lane's stack and SoA-backed context; those positions evaluate
-        scalar in every execution mode, so closure-cell state is safe.
-        Exact-type checks only, mirroring ``ExecutionEngine._decider_for``.
+        ``LoopTrip`` with or without jitter, ``Periodic`` — and
+        call/return stack effects get closures whose state lives in
+        kernel storage (the shared RNG column, a site slot, the SoA
+        call stack), so the interpret path and the vector path read and
+        write the *same* state.  Everything else (constants, indirect
+        branches, unknown models) delegates to the engine's own closure
+        factory, bound to this lane's stack and SoA-backed context;
+        those positions evaluate scalar in every execution mode, so
+        closure-cell state is safe.  Exact-type checks only, mirroring
+        ``ExecutionEngine._decider_for``.
         """
         term = block.terminator
         kernel = self.kernel
@@ -321,86 +319,80 @@ class Lane:
                     return _taken if _pattern[cursor] else _fall
 
                 return decide_periodic
-        if kernel.vectorized:
-            # Call/return stack effects vectorize too: the pushed
-            # return site is a per-position constant (its block id goes
-            # in the SoA stack), and a pop is an id compare against the
-            # next path position.  These closures are the scalar
-            # complement over the same kernel columns — the stack never
-            # forks between execution modes.  The lane's ``CallStack``
-            # stays empty; only its canonical overflow error survives.
-            if term.kind is BranchKind.CALL:
-                site_block = block.fallthrough
-                assert site_block is not None
-                result = (True, term.taken_target)
-                kernel.ensure_stack(self.engine.max_call_depth)
-                self.vec_desc[block.block_id] = (
-                    K_CALL, 0.0, site_block.block_id, -1, -1
-                )
+        # Call/return stack effects vectorize too: the pushed return
+        # site is a per-position constant (its block id goes in the SoA
+        # stack), and a pop is an id compare against the next path
+        # position.  These closures are the scalar complement over the
+        # same kernel columns — the stack never forks between execution
+        # modes.  The lane's ``CallStack`` stays empty; only its
+        # canonical overflow error survives.
+        if term.kind is BranchKind.CALL:
+            site_block = block.fallthrough
+            assert site_block is not None
+            result = (True, term.taken_target)
+            kernel.ensure_stack(self.engine.max_call_depth)
+            self.vec_desc[block.block_id] = (
+                K_CALL, 0.0, site_block.block_id, -1, -1
+            )
 
-                # The lane's slot can move under compaction, so the
-                # closure reads ``idx`` through the lane each call
-                # instead of capturing its current value.
-                def decide_call(step, _k=kernel, _lane=self,
-                                _limit=self.engine.max_call_depth,
-                                _pid=site_block.block_id, _r=result):
-                    i = _lane.idx
-                    depth = _k.l_depth.item(i)
-                    if depth >= _limit:
-                        raise ExecutionError(
-                            f"call stack overflow (depth {_limit}); "
-                            "does a recursive workload lack a base case?"
-                        )
-                    _k.stk[i, depth] = _pid
-                    _k.l_depth[i] = depth + 1
-                    return _r
+            # The lane's slot can move under compaction, so the closure
+            # reads ``idx`` through the lane each call instead of
+            # capturing its current value.
+            def decide_call(step, _k=kernel, _lane=self,
+                            _limit=self.engine.max_call_depth,
+                            _pid=site_block.block_id, _r=result):
+                i = _lane.idx
+                depth = _k.l_depth.item(i)
+                if depth >= _limit:
+                    raise ExecutionError(
+                        f"call stack overflow (depth {_limit}); "
+                        "does a recursive workload lack a base case?"
+                    )
+                _k.stk[i, depth] = _pid
+                _k.l_depth[i] = depth + 1
+                return _r
 
-                return decide_call
-            if term.kind is BranchKind.RETURN:
-                kernel.ensure_stack(self.engine.max_call_depth)
-                self.vec_desc[block.block_id] = (K_RET, 0.0, 0, -1, -1)
-                blocks = self.dispatch.interner.blocks
+            return decide_call
+        if term.kind is BranchKind.RETURN:
+            kernel.ensure_stack(self.engine.max_call_depth)
+            self.vec_desc[block.block_id] = (K_RET, 0.0, 0, -1, -1)
+            blocks = self.dispatch.interner.blocks
 
-                def decide_ret(step, _k=kernel, _lane=self,
-                               _blocks=blocks):
-                    i = _lane.idx
-                    depth = _k.l_depth.item(i)
-                    if depth == 0:
-                        # Returning from main: target None ends the
-                        # program (CallStack.pop's contract).
-                        return (True, None)
-                    _k.l_depth[i] = depth - 1
-                    return (True, _blocks[_k.stk.item(i, depth - 1)])
+            def decide_ret(step, _k=kernel, _lane=self,
+                           _blocks=blocks):
+                i = _lane.idx
+                depth = _k.l_depth.item(i)
+                if depth == 0:
+                    # Returning from main: target None ends the program
+                    # (CallStack.pop's contract).
+                    return (True, None)
+                _k.l_depth[i] = depth - 1
+                return (True, _blocks[_k.stk.item(i, depth - 1)])
 
-                return decide_ret
+            return decide_ret
         return self.engine._decider_for(block, self.stack, self.ctx)
 
-    # -- scalar stepping (interpreting / CFG walk) -------------------------
+    # -- scalar stepping (interpreting) ------------------------------------
     def run_scalar(self, quota: int) -> None:
-        """Advance up to ``quota`` interp/CFG steps (one kernel round).
+        """Interpret up to ``quota`` steps (one kernel round).
 
-        One tight loop over both scalar contexts — interpreting and
-        CFG-region walking — transcribed from the fused reference
-        loop's interp and CFG sections, with the hot counters held in
-        locals and flushed to the kernel arrays only at region
-        transitions and round boundaries (per-step array indexing is
-        what the SoA layout exists to avoid).
+        The fused reference loop's interp section, transcribed per
+        lane, with the hot counters held in locals and flushed to the
+        kernel arrays only at region entry and round boundaries
+        (per-step array indexing is what the SoA layout exists to
+        avoid).  Entering a region — trace or CFG — hands the lane to
+        the vector rounds.
         """
         kernel = self.kernel
         i = self.idx
         max_steps = self.max_steps
         steps = int(kernel.l_steps[i])
-        walk = int(kernel.l_walk[i])
         block = self.block
-        region = self.region
         deciders = self.deciders
         tables_by_entry = self.tables_by_entry
         edge_profile = self.edge_profile
         edge_get = self.edge_get
         cache = self.cache
-        cur_records = self.cur_records
-        cur_blocks = self.cur_blocks
-        cur_entry = self.cur_entry
         interp_steps = self.interp_steps
         interp_insts = self.interp_insts
         observe_interpreted = self.observe_interpreted
@@ -417,153 +409,92 @@ class Lane:
             quota -= 1
             if block is None or steps >= max_steps:
                 kernel.l_steps[i] = steps
-                kernel.l_walk[i] = walk
                 self.block = block
                 self.interp_steps = interp_steps
                 self.interp_insts = interp_insts
                 self._finish()
                 return
 
-            if region is None:
-                # ---- constant-decision span (batched interp) ------------
-                span = interp_spans[block.block_id]
-                if span is not None and (interp_idle is None
-                                         or interp_idle()):
-                    span_steps = span[0]
-                    if steps + span_steps <= max_steps:
-                        # Never-taken constants: no cache-entry check,
-                        # no taken-callbacks, and the interpreted-step
-                        # observer is absent or provably idle — the
-                        # whole chain advances as one bookkeeping
-                        # update.  The walked edges bank by span head
-                        # and fold at finish; the clock lands exactly
-                        # where stepping would have left it.
-                        steps += span_steps
-                        interp_steps += span_steps
-                        interp_insts += span[1]
-                        head_id = block.block_id
-                        ispan_hits[head_id] = (
-                            ispan_hits.get(head_id, 0) + 1
-                        )
-                        if observe_interpreted is not None:
-                            cache.now = steps
-                        block = span[3]
-                        continue
-                # ---- one interpreted step -------------------------------
-                steps += 1
-                decide = deciders[block.block_id]
-                if decide is None:
-                    decide = deciders[block.block_id] = (
-                        self._make_decider(block)
-                    )
-                if decide.__class__ is tuple:
-                    taken, target = decide
-                else:
-                    taken, target = decide(steps)
-                count = block.bundle.count
-
-                if target is not None:
-                    edge = (block, target)
-                    prior = edge_get(edge)
-                    edge_profile[edge] = 1 if prior is None else prior + 1
-                if observe_interpreted is not None:
-                    cache.now = steps
-                    step = Step(block, taken, target)
-                    observe_interpreted(step)
-                else:
-                    step = None
-                interp_steps += 1
-                interp_insts += count
-                if taken and target is not None:
-                    cache.now = steps
-                    entered_table = tables_by_entry[target.block_id]
-                    if entered_table is not None:
-                        if on_enter_raw is not None and step is None:
-                            on_enter_raw(block, taken, target)
-                        elif on_cache_enter is not None:
-                            if step is None:
-                                step = Step(block, taken, target)
-                            on_cache_enter(step)
-                    else:
-                        if on_taken_raw is not None and step is None:
-                            entered = on_taken_raw(block, taken, target)
-                        else:
-                            if step is None:
-                                step = Step(block, taken, target)
-                            entered = on_interpreted_taken(step)
-                        if entered is not None:
-                            if entered.entry is not target:
-                                raise SelectionError(
-                                    f"selector {self.selector.name} "
-                                    f"returned a region entered at "
-                                    f"{entered.entry.full_label} for a "
-                                    f"branch to {target.full_label}"
-                                )
-                            entered_table = dispatch.table_for(entered)
-                    if entered_table is not None:
-                        kernel.l_steps[i] = steps
-                        kernel.l_walk[i] = walk
-                        self.interp_steps = interp_steps
-                        self.interp_insts = interp_insts
-                        self._enter_table(entered_table, transition=False)
-                        self.block = target
-                        if self.mode != M_SCALAR:
-                            return
-                        # CFG region: reload the walk context and stay
-                        # in this loop.
-                        walk = 0
-                        region = self.region
-                        cur_records = self.cur_records
-                        cur_blocks = self.cur_blocks
-                        cur_entry = self.cur_entry
-                block = target
-                continue
-
-            # ---- one CFG-region walk step -------------------------------
-            rec = cur_records[block]
+            # ---- constant-decision span (batched interp) ----------------
+            span = interp_spans[block.block_id]
+            if span is not None and (interp_idle is None or interp_idle()):
+                span_steps = span[0]
+                if steps + span_steps <= max_steps:
+                    # Never-taken constants: no cache-entry check, no
+                    # taken-callbacks, and the interpreted-step observer
+                    # is absent or provably idle — the whole chain
+                    # advances as one bookkeeping update.  The walked
+                    # edges bank by span head and fold at finish; the
+                    # clock lands exactly where stepping would have
+                    # left it.
+                    steps += span_steps
+                    interp_steps += span_steps
+                    interp_insts += span[1]
+                    head_id = block.block_id
+                    ispan_hits[head_id] = ispan_hits.get(head_id, 0) + 1
+                    if observe_interpreted is not None:
+                        cache.now = steps
+                    block = span[3]
+                    continue
+            # ---- one interpreted step -----------------------------------
             steps += 1
-            decide = rec[0]  # REC_DECIDE
+            decide = deciders[block.block_id]
+            if decide is None:
+                decide = deciders[block.block_id] = self._make_decider(block)
             if decide.__class__ is tuple:
                 taken, target = decide
             else:
                 taken, target = decide(steps)
-            walk += rec[1]  # REC_COUNT
-            if target is not None and (
-                    (target in rec[2])  # REC_STAY
-                    if taken else (target in cur_blocks)):
+            count = block.bundle.count
+
+            if target is not None:
                 edge = (block, target)
                 prior = edge_get(edge)
                 edge_profile[edge] = 1 if prior is None else prior + 1
-                if target is cur_entry:
-                    region.cycle_backs += 1
-                block = target
-                continue
-            # The transfer leaves the region.
-            if rec[7]:  # REC_DYNAMIC
-                linked = (tables_by_entry[target.block_id]
-                          if target is not None else None)
-            elif taken:
-                linked = rec[5]  # REC_LINK_TAKEN
+            if observe_interpreted is not None:
+                cache.now = steps
+                step = Step(block, taken, target)
+                observe_interpreted(step)
             else:
-                linked = rec[6]  # REC_LINK_FALL
-            kernel.l_steps[i] = steps
-            kernel.l_walk[i] = walk
-            self.block = block
-            self._leave(block, taken, target, linked, steps)
-            block = self.block
-            if self.mode != M_SCALAR:
-                self.interp_steps = interp_steps
-                self.interp_insts = interp_insts
-                return
-            walk = int(kernel.l_walk[i])
-            region = self.region
-            if region is not None:
-                cur_records = self.cur_records
-                cur_blocks = self.cur_blocks
-                cur_entry = self.cur_entry
+                step = None
+            interp_steps += 1
+            interp_insts += count
+            if taken and target is not None:
+                cache.now = steps
+                entered_table = tables_by_entry[target.block_id]
+                if entered_table is not None:
+                    if on_enter_raw is not None and step is None:
+                        on_enter_raw(block, taken, target)
+                    elif on_cache_enter is not None:
+                        if step is None:
+                            step = Step(block, taken, target)
+                        on_cache_enter(step)
+                else:
+                    if on_taken_raw is not None and step is None:
+                        entered = on_taken_raw(block, taken, target)
+                    else:
+                        if step is None:
+                            step = Step(block, taken, target)
+                        entered = on_interpreted_taken(step)
+                    if entered is not None:
+                        if entered.entry is not target:
+                            raise SelectionError(
+                                f"selector {self.selector.name} "
+                                f"returned a region entered at "
+                                f"{entered.entry.full_label} for a "
+                                f"branch to {target.full_label}"
+                            )
+                        entered_table = dispatch.table_for(entered)
+                if entered_table is not None:
+                    kernel.l_steps[i] = steps
+                    self.interp_steps = interp_steps
+                    self.interp_insts = interp_insts
+                    self._enter_table(entered_table, transition=False)
+                    self.block = target
+                    return
+            block = target
 
         kernel.l_steps[i] = steps
-        kernel.l_walk[i] = walk
         self.block = block
         self.interp_steps = interp_steps
         self.interp_insts = interp_insts
@@ -590,7 +521,7 @@ class Lane:
         return table
 
     def _trace_decide_scalar(self, gpos: int, steps: int) -> None:
-        """One scalar-kind trace decision (numpy backend).
+        """One scalar-kind trace decision.
 
         The vector round has already charged the step and the position's
         instruction count; this evaluates the lane's own closure (stack
@@ -620,7 +551,7 @@ class Lane:
         self._trace_leave(table, pos, taken, target, steps)
 
     def _cfg_decide_scalar(self, gpos: int, steps: int) -> None:
-        """One scalar-kind CFG decision (numpy backend).
+        """One scalar-kind CFG decision.
 
         The CFG counterpart of :meth:`_trace_decide_scalar` — dynamic
         targets, RETURN pops and unknown models evaluate the lane's own
@@ -735,8 +666,7 @@ class Lane:
         The fused loop's cache sections verbatim — static-run hops, one
         decision per iteration, and *inline* linked region-to-region
         transitions — bounded by ``quota`` decisions per kernel round.
-        This is the python backend's only trace walker, and the numpy
-        backend's straggler path: when too few lanes remain in vector
+        This is the straggler path: when too few lanes remain in vector
         mode for a vector round to pay for itself, the kernel steps
         them here at fused-loop speed.  The hot counters live in locals
         across region transitions (a linked jump costs a table-local
@@ -747,14 +677,9 @@ class Lane:
         """
         kernel = self.kernel
         i = self.idx
-        vectorized = kernel.vectorized
-        if vectorized:
-            gpos = int(kernel.l_gpos[i])
-            table = self._sync_vec(gpos)
-            pos = gpos - self.cur_base
-        else:
-            table = self.cur_table
-            pos = self.trace_pos
+        gpos = int(kernel.l_gpos[i])
+        table = self._sync_vec(gpos)
+        pos = gpos - self.cur_base
         region = self.region
         steps = int(kernel.l_steps[i])
         walk = int(kernel.l_walk[i])
@@ -765,15 +690,6 @@ class Lane:
         tables_by_entry = self.tables_by_entry
         block = self.block
         while True:
-            if not table.is_trace and not vectorized:
-                # The python backend walks CFG regions in scalar mode
-                # (run_scalar's CFG section): an inline transition that
-                # lands on a CFG table hands the lane over.
-                self.cur_records = table.records
-                self.cur_blocks = table.blocks
-                self.cur_entry = table.entry
-                self._set_mode(M_SCALAR)
-                break
             left = False
             taken = False
             target = None
@@ -901,11 +817,10 @@ class Lane:
                 self.cur_table = linked
                 region.entry_count += 1
                 pos = 0 if linked.is_trace else linked.entry_pos
-                if vectorized:
-                    self.cur_base = linked.arena_base
-                    self.cur_end = self.cur_base + (
-                        linked.path_len if linked.is_trace
-                        else len(linked.block_list))
+                self.cur_base = linked.arena_base
+                self.cur_end = self.cur_base + (
+                    linked.path_len if linked.is_trace
+                    else len(linked.block_list))
                 table = linked
                 block = target
                 continue
@@ -913,10 +828,7 @@ class Lane:
             # slow path — selector callbacks may install or evict.
             kernel.l_steps[i] = steps
             kernel.l_walk[i] = walk
-            if vectorized:
-                kernel.l_gpos[i] = self.cur_base + pos
-            else:
-                self.trace_pos = pos
+            kernel.l_gpos[i] = self.cur_base + pos
             self.block = block
             self._leave(block, taken, target, None, steps)
             if self.mode != M_VEC:
@@ -927,25 +839,19 @@ class Lane:
             table = self.cur_table
             walk = 0
             block = self.block
-            if vectorized:
-                pos = int(kernel.l_gpos[i]) - self.cur_base
-            else:
-                pos = self.trace_pos
+            pos = int(kernel.l_gpos[i]) - self.cur_base
             if quota <= 0:
                 break
 
         kernel.l_steps[i] = steps
         kernel.l_walk[i] = walk
-        if vectorized:
-            kernel.l_gpos[i] = self.cur_base + pos
-        else:
-            self.trace_pos = pos
+        kernel.l_gpos[i] = self.cur_base + pos
         self.block = block
         if steps >= max_steps:
             self._finish()
 
     def _partial_span(self) -> None:
-        """Consume a budget-clipped static run, then retire (numpy).
+        """Consume a budget-clipped static run, then retire.
 
         The step budget ends inside the span: consume only what fits,
         recording the walked edges position by position — the fused
@@ -1057,26 +963,13 @@ class Lane:
         if not transition:
             self.stats.cache_entries += 1
             kernel.l_walk[i] = 0
-        if table.is_trace:
-            if kernel.vectorized:
-                self.cur_base = table.arena_base
-                self.cur_end = self.cur_base + table.path_len
-                kernel.l_gpos[i] = self.cur_base
-            else:
-                self.trace_pos = 0
-            self._set_mode(M_VEC)
-        elif kernel.vectorized:
-            # CFG regions walk vectorized too: enter at the entry
-            # block's arena row and join the next vector round.
-            self.cur_base = table.arena_base
-            self.cur_end = self.cur_base + len(table.block_list)
-            kernel.l_gpos[i] = table.arena_entry
-            self._set_mode(M_VEC)
-        else:
-            self.cur_records = table.records
-            self.cur_blocks = table.blocks
-            self.cur_entry = table.entry
-            self._set_mode(M_SCALAR)
+        # Trace or CFG, the lane parks at the table's arena entry row
+        # and joins the next vector round.
+        self.cur_base = table.arena_base
+        self.cur_end = self.cur_base + (
+            table.path_len if table.is_trace else len(table.block_list))
+        kernel.l_gpos[i] = table.arena_entry
+        self._set_mode(M_VEC)
 
     def _set_mode(self, mode: int) -> None:
         self.mode = mode
@@ -1094,7 +987,7 @@ class Lane:
             return
         kernel = self.kernel
         i = self.idx
-        if self.mode == M_VEC and kernel.vectorized:
+        if self.mode == M_VEC:
             # Vectorized linked transitions may have moved the lane
             # between tables since the last touchpoint.
             self._sync_vec(int(kernel.l_gpos[i]))
@@ -1105,11 +998,10 @@ class Lane:
             self.region.executed_instructions += walk
         self.cache_insts += walk
         kernel.l_walk[i] = 0
-        if kernel.vectorized:
-            self.cache_insts += int(kernel.l_cinst[i])
-            kernel.l_cinst[i] = 0
-            self.stats.region_transitions += int(kernel.l_trans[i])
-            kernel.l_trans[i] = 0
+        self.cache_insts += int(kernel.l_cinst[i])
+        kernel.l_cinst[i] = 0
+        self.stats.region_transitions += int(kernel.l_trans[i])
+        kernel.l_trans[i] = 0
         stats = self.stats
         stats.interp_steps = self.interp_steps
         stats.interp_instructions = self.interp_insts

@@ -17,7 +17,8 @@ Commands:
 * ``obs report`` — render the merged fleet-telemetry JSON written by
   ``run_grid(telemetry_out=...)`` (see ``docs/observability.md``);
 * ``fleet`` — run a (benchmark x selector x seed) grid as one batched
-  fleet through the vectorized kernel (see ``docs/batching.md``);
+  fleet: the vectorized kernel when the fleet is wide enough, else one
+  cell at a time on the fused core (see ``docs/batching.md``);
 * ``serve`` — the simulation service: an asyncio HTTP server resolving
   grid-cell requests through the store / single-flight coalescing /
   the job engine (see ``docs/service.md``); ``serve --smoke`` boots a
@@ -405,12 +406,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_fleet(args: argparse.Namespace) -> int:
     """``repro fleet``: run a (benchmark x selector x seed) grid batched.
 
-    One lane per cell through the vectorized fleet kernel — the CLI
-    face of :func:`repro.batch.run_fleet`.  Reports aggregate
-    throughput plus a per-cell metric line; every cell's numbers are
-    bit-identical to what ``repro run`` prints for it.
+    One lane per cell through the vectorized fleet kernel, or one cell
+    at a time on the fused core when the fleet can never fill a vector
+    round — the CLI face of :func:`repro.batch.run_fleet`.  Reports
+    aggregate throughput, which core ran and why, plus a per-cell
+    metric line; every cell's numbers are bit-identical to what
+    ``repro run`` prints for it.
     """
     from repro.batch import BatchCell, run_fleet
+    from repro.batch import fleet as fleet_mod
+    from repro.batch import kernel as kernel_mod
     from repro.errors import ConfigError
     from repro.obs import CollectingSink, Observer
 
@@ -433,16 +438,25 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    live = (fleet.lanes if args.max_lanes is None
+            else min(args.max_lanes, fleet.lanes))
+    fused = not fleet_mod.vector_rounds_possible(fleet.backend, live)
+    rounds = "" if fused else f", {fleet.rounds} rounds"
     print(f"{fleet.lanes} lanes ({fleet.backend} backend): "
           f"{fleet.steps:,} events in {fleet.wall_seconds:.2f}s "
-          f"({fleet.events_per_second:,.0f} events/s, "
-          f"{fleet.rounds} rounds)")
+          f"({fleet.events_per_second:,.0f} events/s{rounds})")
+    if fused:
+        why = (f"fewer than {kernel_mod.SCALAR_CUTOVER} live lanes can "
+               f"never fill a vector round" if fleet.backend == "numpy"
+               else "the python backend has no vector rounds")
+        print(f"fused core: the cells ran one at a time, because {why}")
     if fleet.max_lanes < fleet.lanes:
         # Queue progress from the obs event stamps: the last admission
         # says how the stream ended; settled counts finish afterwards.
         refill_events = [e for e in sink.events if e.kind == "fleet_refill"]
         last = refill_events[-1].payload if refill_events else {}
-        print(f"queue: {fleet.lanes} cells over {fleet.max_lanes} slots, "
+        slots = "slot" if fleet.max_lanes == 1 else "slots"
+        print(f"queue: {fleet.lanes} cells over {fleet.max_lanes} {slots}, "
               f"{fleet.refills} refills (last admission: "
               f"{last.get('settled', 0)} settled / "
               f"{last.get('queued', 0)} queued / "
@@ -707,7 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--backend", default="auto",
                        choices=("auto", "numpy", "python"),
                        help="array backend (default auto: numpy when "
-                            "installed; see docs/batching.md)")
+                            "installed; python runs every cell on the "
+                            "fused core; see docs/batching.md)")
     fleet.add_argument("--max-lanes", type=int, default=None, metavar="N",
                        help="cap the live lane population; remaining "
                             "cells stream from a queue into freed slots "

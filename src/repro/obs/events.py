@@ -150,8 +150,9 @@ EVENT_KINDS: Dict[str, EventKind] = {
     # -- granularity — per-step events are a serial-pipeline concern) ----
     "fleet_started": EventKind(
         "fleet", "info",
-        "A batched fleet run began; payload carries the lane count and "
-        "the array backend."),
+        "A batched fleet run began; payload carries the lane count, the "
+        "array backend and the live-lane bound (max_lanes: 1 when the "
+        "cells run one at a time on the fused core)."),
     "fleet_lane_finished": EventKind(
         "fleet", "debug",
         "One fleet lane retired (halted or exhausted its step budget); "

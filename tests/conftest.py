@@ -9,6 +9,24 @@ from repro.program.builder import ProgramBuilder
 
 
 @pytest.fixture
+def fleet_kernel(monkeypatch):
+    """Force ``run_fleet`` onto the fleet kernel at the shipped cutover.
+
+    ``run_fleet`` sends a fleet too narrow to fill a vector round to
+    the fused core, which is every test-sized fleet; tests of kernel
+    scheduling (slots, refills, the straggler loop) patch the width
+    rule so numpy fleets build the kernel regardless.  The kernel is
+    numpy-only, so python-backend fleets keep the fused core and
+    kernel tests pass ``backend="numpy"`` explicitly.
+    """
+    pytest.importorskip("numpy")
+    from repro.batch import fleet as fleet_mod
+
+    monkeypatch.setattr(fleet_mod, "vector_rounds_possible",
+                        lambda backend, live_lanes: backend == "numpy")
+
+
+@pytest.fixture
 def straight_line_program():
     """main: A -> B -> C -> halt (pure fall-throughs)."""
     pb = ProgramBuilder("straight")

@@ -3,8 +3,9 @@
 The batched backend's contract is *bit-identity*: for every cell it
 must produce exactly the MetricReport the serial pipeline produces.
 These tests enforce that across benchmarks, selectors, bounded caches
-under eviction, step budgets, both array substrates, and the error
-path — plus the SplitMix64 lane-RNG equivalence the whole scheme
+under eviction, step budgets, both backends, all three fleet regimes
+(vector rounds, the kernel's straggler loop, the fused core) and the
+error path — plus the SplitMix64 lane-RNG equivalence the whole scheme
 rests on.  See ``docs/batching.md``.
 """
 
@@ -21,6 +22,7 @@ from repro.batch import (
     run_fleet,
 )
 from repro.batch import backend as backend_mod
+from repro.batch import fleet as fleet_mod
 from repro.batch import kernel as kernel_mod
 from repro.batch.backend import LaneRng
 from repro.behavior.rng import SplitMix64
@@ -36,19 +38,44 @@ BACKENDS = available_backends()
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
-@pytest.fixture(params=["vector", "cutover"])
+@pytest.fixture(params=["vector", "kernel", "fused"])
 def lane_regime(request, monkeypatch):
-    """Run the identity suite under both kernel regimes.
+    """Run the identity suite under all three fleet regimes.
 
-    ``SCALAR_CUTOVER`` sends small fleets down the per-lane scalar
-    fallback, so a test-sized fleet would never exercise the vector
-    rounds at all; the ``vector`` regime forces the cutover to zero so
-    the same fleets run the full vectorized path, and ``cutover``
-    keeps the shipped default (all-scalar at these sizes).
+    A fleet narrower than ``SCALAR_CUTOVER`` live lanes could never
+    sweep a vector round, so the shipped rule runs every test-sized
+    fleet on the fused core (``fused``).  ``kernel`` forces the kernel
+    at the shipped cutover, where every region walk takes the per-lane
+    straggler loop; ``vector`` sets the cutover to zero, so the same
+    fleets run the kernel's vector rounds.  The kernel is numpy-only:
+    python-backend fleets take the fused core in every regime.
     """
     if request.param == "vector":
         monkeypatch.setattr(kernel_mod, "SCALAR_CUTOVER", 0)
+    elif request.param == "kernel":
+        request.getfixturevalue("fleet_kernel")
     return request.param
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Fail the test if ``run_fleet`` builds a fleet kernel."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_fleet built a FleetKernel")
+
+    monkeypatch.setattr(fleet_mod, "FleetKernel", refuse)
+
+
+@pytest.fixture
+def tiny_call_depth(monkeypatch):
+    """Cap the call stack at 3 frames: ``micro:recursion`` overflows."""
+    orig = ExecutionEngine.__init__
+
+    def patched(self, *args, **kwargs):
+        kwargs["max_call_depth"] = 3
+        orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionEngine, "__init__", patched)
 
 
 def serial_report(cell: BatchCell, config=None, max_steps=None) -> MetricReport:
@@ -179,6 +206,7 @@ class TestFleetBitIdentity:
 
 
 @needs_numpy
+@pytest.mark.usefixtures("fleet_kernel")
 def test_numpy_and_python_backends_agree():
     cells = [
         BatchCell("micro:figure3", sel, scale=0.3, seed=s)
@@ -319,16 +347,6 @@ class TestCompactionIdentity:
 class TestErrorContextParity:
     """A fleet abort carries the same diagnostic context as a serial one."""
 
-    @pytest.fixture
-    def tiny_call_depth(self, monkeypatch):
-        orig = ExecutionEngine.__init__
-
-        def patched(self, *args, **kwargs):
-            kwargs["max_call_depth"] = 3
-            orig(self, *args, **kwargs)
-
-        monkeypatch.setattr(ExecutionEngine, "__init__", patched)
-
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.usefixtures("lane_regime")
     def test_call_overflow_matches_serial(self, tiny_call_depth, backend):
@@ -349,6 +367,143 @@ class TestErrorContextParity:
         assert fleet_exc.value.context["selector"] == "net"
         serial_step = serial_exc.value.context["step"]
         assert abs(fleet_exc.value.context["step"] - serial_step) <= 2
+
+
+class TestFusedCore:
+    """Fleets that could never fill a vector round run on the fused core.
+
+    The cells run one after another through ``Simulator.run_program``
+    and the fleet reads as a one-slot stream: the same events, failure
+    containment and ``FleetResult`` shape a ``max_lanes=1`` kernel run
+    reports.
+    """
+
+    CELLS = (
+        BatchCell("micro:linked_chain", "net", scale=0.1, seed=1),
+        BatchCell("micro:figure3", "combined-net", scale=0.1, seed=1),
+        BatchCell("micro:linked_chain", "lei", scale=0.1, seed=2),
+        BatchCell("micro:recursion", "net", scale=0.1, seed=1),
+        BatchCell("micro:figure2", "net", scale=0.1, seed=3),
+    )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("max_lanes", [None, 2])
+    @pytest.mark.usefixtures("no_kernel")
+    def test_one_slot_stream_contract(self, backend, max_lanes):
+        sink = CollectingSink(categories=("fleet",))
+        cells = self.CELLS
+        fleet = run_fleet(cells, backend=backend, max_lanes=max_lanes,
+                          observer=Observer(sink=sink))
+        assert fleet.backend == get_backend(backend)
+        assert fleet.max_lanes == 1
+        assert fleet.refills == len(cells) - 1
+        assert fleet.rounds == len(cells)
+        for cell in cells:
+            assert fleet.reports[cell] == serial_report(cell)
+        # Events arrive in cell order: each cell after the first is
+        # admitted into slot 0 the moment its predecessor finishes.
+        kinds = [(e.kind, e.get("seed"), e.get("benchmark"))
+                 for e in sink.events]
+        expected = [("fleet_started", None, None)]
+        for index, cell in enumerate(cells):
+            if index:
+                expected.append(("fleet_refill", cell.seed, cell.benchmark))
+            expected.append(
+                ("fleet_lane_finished", cell.seed, cell.benchmark))
+        expected.append(("fleet_finished", None, None))
+        assert kinds == expected
+        assert sink.by_kind("fleet_started")[0].get("max_lanes") == 1
+        for index, event in enumerate(sink.by_kind("fleet_refill"), 1):
+            assert event.get("slot") == 0
+            assert event.get("settled") == index
+            assert (event.get("settled") + event.get("active")
+                    + event.get("queued")) == len(cells)
+
+    @pytest.mark.usefixtures("no_kernel")
+    def test_contained_failure_carries_serial_context(self, tiny_call_depth):
+        bad = BatchCell("micro:recursion", "net", scale=0.3, seed=2)
+        cells = self.CELLS[:2] + (bad,) + self.CELLS[4:]
+        program = build_fleet_program(bad.benchmark, bad.scale)
+        with pytest.raises(ExecutionError) as serial_exc:
+            simulate(program, bad.selector, seed=bad.seed)
+        sink = CollectingSink(categories=("fleet",))
+        fleet = run_fleet(cells, on_error="continue",
+                          observer=Observer(sink=sink))
+        assert list(fleet.failures) == [bad]
+        assert fleet.errors == 1
+        error = fleet.failures[bad]
+        assert str(error) == str(serial_exc.value)
+        assert error.context == serial_exc.value.context
+        failed = sink.by_kind("fleet_lane_failed")
+        assert len(failed) == 1
+        assert failed[0].get("seed") == bad.seed
+        assert set(fleet.reports) == set(cells) - {bad}
+        for cell in fleet.reports:
+            assert fleet.reports[cell] == serial_report(cell)
+        # The failed cell's successor still streams into slot 0.
+        assert fleet.refills == len(cells) - 1
+
+    @pytest.mark.usefixtures("no_kernel")
+    def test_raise_aborts_with_the_serial_error(self, tiny_call_depth):
+        bad = BatchCell("micro:recursion", "net", scale=0.3, seed=2)
+        program = build_fleet_program(bad.benchmark, bad.scale)
+        with pytest.raises(ExecutionError) as serial_exc:
+            simulate(program, bad.selector, seed=bad.seed)
+        with pytest.raises(ExecutionError) as fleet_exc:
+            run_fleet(self.CELLS[:1] + (bad,) + self.CELLS[1:2])
+        assert str(fleet_exc.value) == str(serial_exc.value)
+        assert fleet_exc.value.context == serial_exc.value.context
+
+    @pytest.mark.usefixtures("no_kernel")
+    def test_each_program_is_built_once(self, monkeypatch):
+        built = []
+        orig = fleet_mod.build_fleet_program
+
+        def counting(benchmark, scale):
+            built.append((benchmark, scale))
+            return orig(benchmark, scale)
+
+        monkeypatch.setattr(fleet_mod, "build_fleet_program", counting)
+        # linked_chain@0.1 recurs after an unrelated cell: it must stay
+        # built until its last queued cell has run.
+        run_fleet(self.CELLS)
+        assert sorted(built) == sorted({(c.benchmark, c.scale)
+                                        for c in self.CELLS})
+
+    @pytest.mark.usefixtures("no_kernel")
+    def test_wide_python_fleet_takes_the_fused_core(self):
+        cells = [BatchCell("micro:self_loop", "net", scale=0.01, seed=s)
+                 for s in range(kernel_mod.SCALAR_CUTOVER)]
+        fleet = run_fleet(cells, backend="python")
+        assert fleet.backend == "python"
+        assert fleet.max_lanes == 1
+        assert fleet.rounds == len(cells)
+        for cell in cells[:3] + cells[-3:]:
+            assert fleet.reports[cell] == serial_report(cell)
+
+    @needs_numpy
+    def test_wide_numpy_fleet_builds_the_kernel(self, monkeypatch):
+        built = []
+        orig = fleet_mod.FleetKernel
+
+        def spy(*args, **kwargs):
+            kernel = orig(*args, **kwargs)
+            built.append(kernel)
+            return kernel
+
+        monkeypatch.setattr(fleet_mod, "FleetKernel", spy)
+        width = kernel_mod.SCALAR_CUTOVER
+        cells = [BatchCell("micro:self_loop", "net", scale=0.01, seed=s)
+                 for s in range(width + 2)]
+        sink = CollectingSink(categories=("fleet",))
+        fleet = run_fleet(cells, backend="numpy", max_lanes=width,
+                          observer=Observer(sink=sink))
+        assert len(built) == 1
+        assert fleet.max_lanes == width
+        assert fleet.refills == 2
+        assert sink.by_kind("fleet_started")[0].get("max_lanes") == width
+        for cell in cells[:3] + cells[-3:]:
+            assert fleet.reports[cell] == serial_report(cell)
 
 
 class TestGridStoreDigestIdentity:

@@ -4,11 +4,13 @@ The fleet contract says results depend only on each cell's coordinate,
 never on which lanes share a batch: *any* partition of a grid into
 fleets — any grouping, any order within a group — must produce
 per-cell reports identical to the serial oracle.  Hypothesis explores
-the partition space; the oracle is computed once per session.
+the partition space; the oracle is computed once per session.  Fleets
+this small would run on the fused core, so the properties force the
+numpy kernel (``fleet_kernel``) to keep its scheduling under test.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.batch import BatchCell, available_backends, run_fleet
@@ -40,7 +42,15 @@ def oracle():
     return reports
 
 
-@settings(max_examples=12, deadline=None)
+#: The forced kernel patch is constant across examples, so one
+#: function-scoped ``fleet_kernel`` per test is safe under hypothesis.
+KERNEL_SETTINGS = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@settings(max_examples=12, **KERNEL_SETTINGS)
 @given(
     groups=st.lists(st.integers(min_value=0, max_value=2),
                     min_size=len(CELLS), max_size=len(CELLS)),
@@ -48,7 +58,8 @@ def oracle():
     max_lanes=st.one_of(st.none(),
                         st.integers(min_value=1, max_value=len(CELLS))),
 )
-def test_any_partition_matches_serial(oracle, groups, order, max_lanes):
+def test_any_partition_matches_serial(fleet_kernel, oracle, groups, order,
+                                      max_lanes):
     """Shuffle the grid, split it into up to three fleets, run each.
 
     ``max_lanes`` additionally varies the admission schedule: a fleet
@@ -60,7 +71,7 @@ def test_any_partition_matches_serial(oracle, groups, order, max_lanes):
         batches.setdefault(groups[position], []).append(CELLS[cell_index])
     merged = {}
     for batch in batches.values():
-        fleet = run_fleet(batch, max_lanes=max_lanes)
+        fleet = run_fleet(batch, backend="numpy", max_lanes=max_lanes)
         merged.update(fleet.reports)
     assert merged == oracle
 
@@ -96,7 +107,7 @@ def mixed_oracle():
     return reports
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, **KERNEL_SETTINGS)
 @given(
     order=st.permutations(range(len(MIXED_POOL))),
     size=st.integers(min_value=2, max_value=len(MIXED_POOL)),
@@ -105,13 +116,15 @@ def mixed_oracle():
     cutover=st.sampled_from((0, kernel_mod.SCALAR_CUTOVER)),
     max_lanes=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
 )
-def test_mixed_mode_interleavings_match_serial(mixed_oracle, order, size,
-                                               compaction, backend, cutover,
-                                               max_lanes):
+def test_mixed_mode_interleavings_match_serial(fleet_kernel, mixed_oracle,
+                                               order, size, compaction,
+                                               backend, cutover, max_lanes):
     """Any interleaving of CFG, interp and trace lanes, with compaction
     on or off, the vector path forced or cut over, and any streaming
     admission schedule, is bit-identical to the serial oracle on every
-    available backend."""
+    available backend.  The kernel is forced, so a numpy draw at the
+    shipped cutover exercises the kernel's straggler loop; python draws
+    run on the fused core."""
     cells = [MIXED_POOL[i] for i in order[:size]]
     old = kernel_mod.SCALAR_CUTOVER
     kernel_mod.SCALAR_CUTOVER = cutover

@@ -5,7 +5,9 @@ per-cell reports are independent of queue order, ``max_lanes`` and
 refill timing, memory stays bounded by the live-lane cap, and a
 contained lane failure (``on_error="continue"``) frees its slot for
 the next queued cell instead of aborting the fleet.  The oracle is
-always the serial fused pipeline.  See ``docs/batching.md``.
+always the serial fused pipeline.  Fleets this small would run on the
+fused core, so the kernel-scheduling classes force the kernel
+(``fleet_kernel``, on numpy).  See ``docs/batching.md``.
 """
 
 import os
@@ -14,7 +16,6 @@ import pytest
 
 from repro.batch import (
     BatchCell,
-    available_backends,
     build_fleet_program,
     run_fleet,
 )
@@ -24,8 +25,6 @@ from repro.errors import ConfigError, ExecutionError
 from repro.metrics.summary import MetricReport
 from repro.obs import CollectingSink, Observer
 from repro.system.simulator import simulate
-
-BACKENDS = available_backends()
 
 #: A mixed pool — trace chains, a self loop, CFG regions, LEI and an
 #: interp-heavy tail — so refills land lanes of every execution mode
@@ -62,14 +61,14 @@ def fleet_observer():
     return Observer(sink=sink), sink
 
 
+@pytest.mark.usefixtures("fleet_kernel")
 class TestStreamingIdentity:
     """Reports never depend on the admission schedule."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_max_lanes_one_degenerates_to_serial_order(self, backend, oracle):
+    def test_max_lanes_one_degenerates_to_serial_order(self, oracle):
         """One live slot streams the queue strictly in cell order."""
         observer, sink = fleet_observer()
-        fleet = run_fleet(POOL, backend=backend, max_lanes=1,
+        fleet = run_fleet(POOL, backend="numpy", max_lanes=1,
                           observer=observer)
         assert fleet.reports == oracle
         assert fleet.max_lanes == 1
@@ -80,12 +79,11 @@ class TestStreamingIdentity:
                 for e in finished] == [
             (c.benchmark, c.selector, c.seed) for c in POOL]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("max_lanes", [2, 3, 5, None])
-    def test_cap_and_queue_order_do_not_move_results(self, backend,
-                                                     max_lanes, oracle):
+    def test_cap_and_queue_order_do_not_move_results(self, max_lanes,
+                                                     oracle):
         for cells in (POOL, tuple(reversed(POOL)), POOL[4:] + POOL[:4]):
-            fleet = run_fleet(cells, backend=backend, max_lanes=max_lanes)
+            fleet = run_fleet(cells, backend="numpy", max_lanes=max_lanes)
             assert fleet.reports == oracle
             expected = (0 if max_lanes is None or max_lanes >= len(cells)
                         else len(cells) - max_lanes)
@@ -94,7 +92,8 @@ class TestStreamingIdentity:
     def test_refill_events_account_for_every_cell(self):
         """Admission events carry consistent queue-progress counters."""
         observer, sink = fleet_observer()
-        fleet = run_fleet(POOL, max_lanes=3, observer=observer)
+        fleet = run_fleet(POOL, backend="numpy", max_lanes=3,
+                          observer=observer)
         refills = [event for event in sink.events
                    if event.kind == "fleet_refill"]
         assert len(refills) == fleet.refills == len(POOL) - 3
@@ -131,15 +130,14 @@ def failing_lane(monkeypatch):
     monkeypatch.setattr(Lane, "run_scalar", boom)
 
 
+@pytest.mark.usefixtures("fleet_kernel")
 class TestErrorContainment:
     """on_error='continue' refills an errored slot and streams on."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_admission_into_an_errored_slot(self, backend, oracle,
-                                            failing_lane):
+    def test_admission_into_an_errored_slot(self, oracle, failing_lane):
         cells = (BAD,) + POOL  # the failure occupies slot 0 first
         observer, sink = fleet_observer()
-        fleet = run_fleet(cells, backend=backend, max_lanes=2,
+        fleet = run_fleet(cells, backend="numpy", max_lanes=2,
                           on_error="continue", observer=observer)
         assert BAD in fleet.failures
         assert BAD not in fleet.reports
@@ -161,18 +159,18 @@ class TestErrorContainment:
 
     def test_default_on_error_still_aborts(self, failing_lane):
         with pytest.raises(ExecutionError):
-            run_fleet((BAD,) + POOL[:2], max_lanes=1)
+            run_fleet((BAD,) + POOL[:2], backend="numpy", max_lanes=1)
 
 
+@pytest.mark.usefixtures("fleet_kernel")
 class TestBoundedCacheStreaming:
     """Refill composes with bounded-cache eviction, bit-identically."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("policy", ["flush", "fifo"])
-    def test_eviction_during_streaming_matches_serial(self, backend, policy):
+    def test_eviction_during_streaming_matches_serial(self, policy):
         config = SystemConfig(cache_capacity_bytes=400,
                               cache_eviction_policy=policy)
-        fleet = run_fleet(POOL, config=config, backend=backend, max_lanes=2)
+        fleet = run_fleet(POOL, config=config, backend="numpy", max_lanes=2)
         for cell in POOL:
             assert fleet.reports[cell] == serial_report(cell, config)
 

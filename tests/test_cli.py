@@ -89,15 +89,35 @@ class TestCollectReplay:
 
 
 class TestFleet:
-    def test_streaming_run_prints_queue_progress(self, capsys):
-        code = main(["fleet", "--benchmarks",
-                     "micro:linked_chain,micro:self_loop",
-                     "--selectors", "net", "--seeds", "3",
-                     "--scale", "0.05", "--max-lanes", "2"])
+    NARROW = ["fleet", "--benchmarks", "micro:linked_chain,micro:self_loop",
+              "--selectors", "net", "--seeds", "3", "--scale", "0.05",
+              "--max-lanes", "2"]
+
+    def test_streaming_run_prints_queue_progress(self, capsys, fleet_kernel):
+        code = main(self.NARROW + ["--backend", "numpy"])
         out = capsys.readouterr().out
         assert code == 0
         assert "queue: 6 cells over 2 slots, 4 refills" in out
         assert "0 queued" in out  # the last admission drained the queue
+        assert out.count("micro:linked_chain") == 3
+        assert " rounds)" in out
+        assert "fused core" not in out
+
+    def test_narrow_fleet_says_it_ran_on_the_fused_core(self, capsys):
+        from repro.batch.kernel import SCALAR_CUTOVER
+
+        code = main(self.NARROW)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert ("fused core: the cells ran one at a time, because "
+                in out)
+        if "(numpy backend)" in out:
+            assert (f"fewer than {SCALAR_CUTOVER} live lanes can never "
+                    f"fill a vector round") in out
+        else:
+            assert "the python backend has no vector rounds" in out
+        assert "queue: 6 cells over 1 slot, 5 refills" in out
+        assert " rounds)" not in out
         assert out.count("micro:linked_chain") == 3
 
     def test_full_width_run_prints_no_queue_line(self, capsys):
