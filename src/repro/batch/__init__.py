@@ -1,31 +1,23 @@
-"""Batched fleet execution: many grid cells per vectorized sweep.
+"""Fleet execution: many grid cells as one stream on the fused core.
 
-The batched backend runs an entire experiment grid or seed-stability
-sweep as a *fleet* — one lane per (benchmark, selector, scale, seed)
-cell — advancing every region-walking lane in lockstep over numpy
-structure-of-arrays state when the ``repro[fast]`` extra is installed
-and the fleet is wide enough to fill a vector round.  Every other
-fleet runs its cells one after another on the serial fused core.  The
-serial pipeline remains the bit-identity oracle: per-cell reports and
-store digests are identical by construction and by test.  See
-``docs/batching.md``.
+:func:`run_fleet` runs an experiment grid's or sweep's cells — one per
+(benchmark, selector, scale, seed) — one after another on the serial
+fused core, and reports the run as a one-slot stream with batch-level
+``fleet_*`` events.  Per-cell reports are the serial pipeline's by
+construction and by test.  See ``docs/batching.md``.
 """
 
-from repro.batch.backend import (
-    HAVE_NUMPY,
-    available_backends,
-    get_backend,
-)
 from repro.batch.fleet import (
+    HAVE_NUMPY,
     BatchCell,
     FleetResult,
     build_fleet_program,
+    get_backend,
     run_fleet,
 )
 
 __all__ = [
     "HAVE_NUMPY",
-    "available_backends",
     "get_backend",
     "BatchCell",
     "FleetResult",

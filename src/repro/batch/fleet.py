@@ -1,36 +1,26 @@
-"""Fleet assembly: run many grid cells as one batched pass.
+"""Fleet assembly: run many grid cells as one stream on the fused core.
 
 :func:`run_fleet` is the public face of :mod:`repro.batch`: hand it a
 list of :class:`BatchCell` coordinates (benchmark, selector, scale,
-seed) and it executes them all, returning per-cell
-:class:`~repro.metrics.summary.MetricReport` and
-:class:`~repro.system.results.RunResult` objects that are
-**bit-identical** to what the serial pipeline produces for the same
-coordinates.  Lanes never interact — every lane has its own cache,
-selector, RNG stream and edge profile — so any partition of a cell
-list into fleets yields the same per-cell results (the hypothesis
-property in ``tests/test_batch_properties.py``), and so does any
-admission schedule: ``max_lanes`` bounds the number of *live* lanes,
-the kernel streams the remaining cells from a queue into slots as
-lanes settle, and per-cell results are independent of queue order,
-``max_lanes`` and refill timing.
+seed) and it executes them one after another, in queue order, on the
+serial fused core (:meth:`~repro.system.simulator.Simulator.run_program`),
+returning per-cell :class:`~repro.metrics.summary.MetricReport` and
+:class:`~repro.system.results.RunResult` objects that are **the serial
+pipeline's** for the same coordinates.  Cells never interact — each
+has its own cache, selector, RNG stream and edge profile — so any
+partition of a cell list into fleets yields the same per-cell results
+(the hypothesis property in ``tests/test_batch_properties.py``).
 
-Which core runs is decided from the call (:func:`vector_rounds_possible`):
-a fleet whose live width can fill a vector round runs in one
-:class:`~repro.batch.kernel.FleetKernel`; any other fleet — narrower
-than ``SCALAR_CUTOVER`` lanes, or on the python backend — runs its
-cells one after another on the serial fused core
-(:meth:`~repro.system.simulator.Simulator.run_program`), reported as a
-one-slot stream.
+The result reads as a one-slot stream: ``max_lanes == 1``, one round
+per cell and one refill per cell after the first.  ``backend`` and
+``max_lanes`` are accepted and validated, and ``FleetResult.backend``
+reports the resolved backend, but neither changes how the cells run.
 
 Programs are shared: cells with the same ``(benchmark, scale)`` walk
-one immutable :class:`~repro.program.program.Program` instance (blocks
-are read-only during simulation; all mutable per-run state lives in
-the lane).  Streaming kernel runs build programs lazily and release
-them once no live lane shares them, and the fused core drops each
-after the last cell that uses it, so memory tracks the active set.
-Benchmark names accept the same ``micro:`` prefix as the bench
-harness, building a motif program instead of a SPEC model.
+one immutable :class:`~repro.program.program.Program` instance, built
+once and dropped after the last cell that uses it.  Benchmark names
+accept the same ``micro:`` prefix as the bench harness, building a
+motif program instead of a SPEC model.
 
 Observability happens at batch granularity — ``fleet_started``, one
 ``fleet_refill`` per queue admission, one ``fleet_lane_finished`` per
@@ -41,14 +31,12 @@ stamps.
 
 from __future__ import annotations
 
+import importlib.util
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.batch import kernel as kernel_mod
-from repro.batch.backend import get_backend
-from repro.batch.kernel import DEFAULT_QUOTA, FleetKernel
 from repro.config import SystemConfig
 from repro.errors import ConfigError, ReproError
 from repro.execution.engine import ExecutionEngine
@@ -63,10 +51,41 @@ from repro.workloads.micro import build_micro
 #: scaling convention: ``scale`` multiplies this).
 MICRO_BASE_ITERATIONS = 6000
 
+#: Whether numpy is importable (the ``repro[fast]`` extra).  Nothing
+#: in :mod:`repro` imports it; it only decides what ``backend="auto"``
+#: resolves to and whether ``backend="numpy"`` is accepted.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+
+
+def get_backend(name: str = "auto") -> str:
+    """Resolve a backend request to ``"numpy"`` or ``"python"``.
+
+    ``"auto"`` prefers numpy and silently falls back.  Asking for
+    ``"numpy"`` without the ``repro[fast]`` extra installed is a
+    :class:`~repro.errors.ConfigError`.  Either backend runs the same
+    fused core; the name is reported in ``FleetResult.backend``.
+    """
+    if name == "auto":
+        return "numpy" if HAVE_NUMPY else "python"
+    if name == "numpy":
+        if not HAVE_NUMPY:
+            raise ConfigError(
+                "batch backend 'numpy' requested but numpy is not "
+                "installed (pip install 'repro[fast]'), use "
+                "backend='auto' or 'python'"
+            )
+        return "numpy"
+    if name == "python":
+        return "python"
+    raise ConfigError(
+        f"unknown batch backend {name!r}: expected 'auto', 'numpy' or "
+        f"'python'"
+    )
+
 
 @dataclass(frozen=True)
 class BatchCell:
-    """One grid-cell coordinate: what a fleet lane simulates."""
+    """One grid-cell coordinate: what one fleet cell simulates."""
 
     benchmark: str
     selector: str
@@ -79,16 +98,17 @@ class FleetResult:
     """Everything one fleet run produced."""
 
     backend: str
+    #: Cells in the fleet.
     lanes: int
+    #: One per cell.
     rounds: int
-    #: Aggregate simulation steps across every lane.
+    #: Aggregate simulation steps across every cell.
     steps: int
     wall_seconds: float
-    #: Live-lane bound the run used (== ``lanes`` when the whole fleet
-    #: fit at once; 1 when the cells ran one at a time on the fused
-    #: core).
-    max_lanes: int = 0
-    #: Queue admissions into freed slots (0 for non-streaming runs).
+    #: Live-lane bound the run used: always 1, the cells run one at
+    #: a time.
+    max_lanes: int = 1
+    #: Queue admissions into the slot: one per cell after the first.
     refills: int = 0
     #: Cells that settled as failed under ``on_error="continue"``.
     errors: int = 0
@@ -106,26 +126,11 @@ class FleetResult:
 
 
 def build_fleet_program(benchmark: str, scale: float):
-    """Build a lane's program: a SPEC model or a ``micro:`` motif."""
+    """Build a cell's program: a SPEC model or a ``micro:`` motif."""
     if benchmark.startswith("micro:"):
         iterations = max(1, round(MICRO_BASE_ITERATIONS * scale))
         return build_micro(benchmark[len("micro:"):], iterations=iterations)
     return build_benchmark(benchmark, scale=scale)
-
-
-def vector_rounds_possible(backend: str, live_lanes: int) -> bool:
-    """Whether a kernel run of ``live_lanes`` slots could ever sweep a
-    vector round.
-
-    Only the numpy kernel vectorizes, and only while at least
-    ``SCALAR_CUTOVER`` lanes walk regions at once; a fleet never holds
-    more walking lanes than live slots.  Below that width every kernel
-    round would step each lane through its per-lane copy of the fused
-    loop, so :func:`run_fleet` runs such fleets on the fused core
-    itself.  The cutover is read from :mod:`repro.batch.kernel` at
-    call time, so tuning the module constant moves this rule with it.
-    """
-    return backend == "numpy" and live_lanes >= kernel_mod.SCALAR_CUTOVER
 
 
 def run_fleet(
@@ -134,38 +139,21 @@ def run_fleet(
     backend: str = "auto",
     max_steps: Optional[int] = None,
     observer: Optional[Observer] = None,
-    quota: int = DEFAULT_QUOTA,
-    compaction: bool = True,
     max_lanes: Optional[int] = None,
     on_error: str = "raise",
 ) -> FleetResult:
-    """Run every cell as one batched fleet; results match the serial
-    pipeline bit for bit.
+    """Run every cell in queue order on the fused core; results match
+    the serial pipeline bit for bit.
 
     ``backend`` is ``"auto"`` (numpy when installed, else ``"python"``),
-    ``"numpy"`` or ``"python"`` — see
-    :func:`repro.batch.backend.get_backend`.  ``max_steps`` bounds
-    every lane (default: the engine's standard budget).  ``max_lanes``
-    caps the *live* lane population: with more cells than lanes the
-    kernel streams the remainder from a queue, re-seeding each slot
-    the moment its lane settles, so memory is bounded by ``max_lanes``
-    and the vector population stays wide while the queue lasts.
-    ``quota`` caps each lane's scalar steps per kernel round and
-    ``compaction`` toggles periodic lane re-sorting by mode.  All
-    three are scheduling knobs — they cannot change results, only wall
-    time.  ``on_error="continue"`` contains a failing cell (its
+    ``"numpy"`` or ``"python"`` — see :func:`get_backend`; it is
+    resolved and reported, not used.  ``max_steps`` bounds every cell
+    (default: the engine's standard budget).  ``max_lanes`` must be at
+    least 1 when given; the run is always a one-slot stream
+    (``max_lanes == 1``, one round per cell, one refill per cell after
+    the first).  ``on_error="continue"`` contains a failing cell (its
     enriched error lands in ``FleetResult.failures``) instead of
     aborting the fleet.
-
-    A fleet that could never fill a vector round — the python backend,
-    or a live width ``min(max_lanes, len(cells))`` below
-    ``SCALAR_CUTOVER`` (:func:`vector_rounds_possible`) — skips the
-    kernel: its cells run one after another, in queue order, through
-    :meth:`Simulator.run_program
-    <repro.system.simulator.Simulator.run_program>`, and the result
-    reads as a one-slot stream (``max_lanes == 1``, one refill and one
-    round per cell after the first) with the same events and error
-    containment.  ``FleetResult.backend`` stays the resolved backend.
     """
     backend = get_backend(backend)
     config = config if config is not None else SystemConfig()
@@ -184,100 +172,23 @@ def run_fleet(
             raise ConfigError(f"duplicate fleet cell {cell!r}")
         seen.add(cell)
     total = len(cell_list)
-    live = total if max_lanes is None else min(max_lanes, total)
-    fused = not vector_rounds_possible(backend, live)
-
-    fleet = FleetResult(backend=backend, lanes=total,
-                        rounds=0, steps=0, wall_seconds=0.0)
-
-    def finished(cell, result, report, steps):
-        fleet.reports[cell] = report
-        fleet.results[cell] = result
-        fleet.steps += steps
-        obs.event(
-            "fleet_lane_finished", 0,
-            benchmark=cell.benchmark, selector=cell.selector,
-            scale=cell.scale, seed=cell.seed, steps=steps,
-        )
-
-    def failed(cell, error):
-        fleet.failures[cell] = error
-        fleet.errors += 1
-        obs.event(
-            "fleet_lane_failed", 0,
-            benchmark=cell.benchmark, selector=cell.selector,
-            scale=cell.scale, seed=cell.seed, error=str(error),
-        )
-
-    def refilled(cell, slot, settled, queued, active):
-        fleet.refills += 1
-        obs.event(
-            "fleet_refill", 0,
-            benchmark=cell.benchmark, selector=cell.selector,
-            scale=cell.scale, seed=cell.seed, slot=slot,
-            settled=settled, queued=queued, active=active,
-        )
-
-    fleet.max_lanes = 1 if fused else live
+    # One slot: one round per cell, every cell after the first a refill.
+    fleet = FleetResult(backend=backend, lanes=total, rounds=total,
+                        steps=0, wall_seconds=0.0)
     obs.event("fleet_started", 0, lanes=total, backend=backend,
               max_lanes=fleet.max_lanes)
     started = time.perf_counter()
-    if fused:
-        fleet.rounds = _run_fused(cell_list, config, max_steps,
-                                  on_error == "continue",
-                                  finished, failed, refilled)
-    else:
-        def settled(lane, error):
-            if error is not None:
-                failed(lane.cell, error)
-            else:
-                finished(lane.cell, lane.result, lane.report,
-                         lane.engine.steps_executed)
-
-        def admitted(cell, slot, initial):
-            # ``kernel`` is bound by the time any refill can happen:
-            # initial admissions (the only ones inside the constructor)
-            # are not refills.
-            if not initial:
-                refilled(cell, slot, kernel.settled, len(kernel.queue),
-                         kernel.active)
-
-        kernel = FleetKernel(cell_list, build_fleet_program, config,
-                             max_steps=max_steps, quota=quota,
-                             compaction=compaction, max_lanes=live,
-                             on_error=on_error, on_settle=settled,
-                             on_admit=admitted)
-        fleet.rounds = kernel.run()
-    fleet.wall_seconds = time.perf_counter() - started
-    obs.event("fleet_finished", 0, lanes=total, backend=backend,
-              rounds=fleet.rounds, steps=fleet.steps,
-              wall_seconds=fleet.wall_seconds, max_lanes=fleet.max_lanes,
-              refills=fleet.refills, errors=fleet.errors)
-    return fleet
-
-
-def _run_fused(cells: Tuple[BatchCell, ...], config: SystemConfig,
-               max_steps: Optional[int], contain: bool,
-               finished: Callable, failed: Callable,
-               refilled: Callable) -> int:
-    """Run ``cells`` in queue order on the fused core, as one slot.
-
-    Each cell is a plain serial run — :meth:`Simulator.run_program
-    <repro.system.simulator.Simulator.run_program>` with the null
-    observer, as a kernel lane runs — so its report is the serial
-    oracle's by construction, and an error carries the context the
-    simulator attaches (benchmark, selector, step).  Every cell after
-    the first is announced as a refill of slot 0, with the same queue
-    counters a one-slot kernel reports.  Each ``(benchmark, scale)``
-    program is built once and dropped after the last cell that uses
-    it.  Returns the round count: one pass per cell.
-    """
-    uses = Counter((cell.benchmark, cell.scale) for cell in cells)
+    # Each (benchmark, scale) program is built once and dropped after
+    # the last cell that uses it.
+    uses = Counter((cell.benchmark, cell.scale) for cell in cell_list)
     programs: Dict[Tuple[str, float], object] = {}
-    total = len(cells)
-    for index, cell in enumerate(cells):
+    for index, cell in enumerate(cell_list):
+        coords = dict(benchmark=cell.benchmark, selector=cell.selector,
+                      scale=cell.scale, seed=cell.seed)
         if index:
-            refilled(cell, 0, index, total - index - 1, 1)
+            fleet.refills += 1
+            obs.event("fleet_refill", 0, **coords, slot=0, settled=index,
+                      queued=total - index - 1, active=1)
         key = (cell.benchmark, cell.scale)
         program = programs.get(key)
         if program is None:
@@ -285,16 +196,29 @@ def _run_fused(cells: Tuple[BatchCell, ...], config: SystemConfig,
         uses[key] -= 1
         if not uses[key]:
             del programs[key]
+        # A plain serial run with the null observer: the report is the
+        # serial oracle's by construction, and an error carries the
+        # context the simulator attaches (benchmark, selector, step).
         engine = ExecutionEngine(program, seed=cell.seed,
                                  max_steps=max_steps)
         simulator = Simulator(program, cell.selector, config)
         try:
             result = simulator.run_program(engine)
         except ReproError as exc:
-            if not contain:
+            if on_error == "raise":
                 raise
-            failed(cell, exc)
+            fleet.failures[cell] = exc
+            fleet.errors += 1
+            obs.event("fleet_lane_failed", 0, **coords, error=str(exc))
             continue
-        finished(cell, result, MetricReport.from_result(result),
-                 engine.steps_executed)
-    return total
+        fleet.reports[cell] = MetricReport.from_result(result)
+        fleet.results[cell] = result
+        fleet.steps += engine.steps_executed
+        obs.event("fleet_lane_finished", 0, **coords,
+                  steps=engine.steps_executed)
+    fleet.wall_seconds = time.perf_counter() - started
+    obs.event("fleet_finished", 0, lanes=total, backend=backend,
+              rounds=fleet.rounds, steps=fleet.steps,
+              wall_seconds=fleet.wall_seconds, max_lanes=fleet.max_lanes,
+              refills=fleet.refills, errors=fleet.errors)
+    return fleet

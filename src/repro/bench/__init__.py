@@ -26,14 +26,6 @@ from repro.bench.harness import (
     run_bench,
     write_bench_run,
 )
-from repro.bench.batch import (
-    BATCHED_FLEETS,
-    BatchedFleet,
-    FleetGroup,
-    format_batched_record,
-    run_batched_bench,
-    run_batched_benches,
-)
 from repro.bench.regress import (
     analyze_path,
     analyze_run,
@@ -43,11 +35,8 @@ from repro.bench.regress import (
 from repro.bench.service import format_service_record, run_service_bench
 
 __all__ = [
-    "BATCHED_FLEETS",
     "BENCH_VERSION",
-    "BatchedFleet",
     "BenchWorkload",
-    "FleetGroup",
     "DEFAULT_BASELINE_PATH",
     "QUICK_BASELINE_PATH",
     "default_baseline_path",
@@ -63,10 +52,7 @@ __all__ = [
     "analyze_path",
     "analyze_run",
     "format_analysis",
-    "format_batched_record",
     "format_service_record",
     "load_trajectory",
-    "run_batched_bench",
-    "run_batched_benches",
     "run_service_bench",
 ]

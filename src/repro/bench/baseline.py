@@ -60,34 +60,6 @@ def write_baseline(run: Dict[str, object],
     return path
 
 
-def batched_records(value) -> List[Dict[str, object]]:
-    """Normalize a run's ``batched`` entry to a list of fleet records.
-
-    The schema has been, over time: absent, ``None`` (fleet skipped via
-    ``--no-batched`` or missing numpy), a single dict (one pinned
-    fleet), and now a list.  Comparisons and rendering all go through
-    this normalizer so a ``--check`` against an older run or baseline
-    never trips over the shape.  Legacy single records are upgraded in
-    place-shape (not mutated) to carry a ``groups`` list.
-    """
-    if not value:
-        return []
-    if isinstance(value, dict):
-        value = [value]
-    out = []
-    for record in value:
-        if "groups" not in record:
-            record = dict(record)
-            record["groups"] = [{
-                "benchmark": record.get("benchmark"),
-                "selector": record.get("selector"),
-                "lanes": record.get("lanes"),
-                "scale": record.get("scale"),
-            }]
-        out.append(record)
-    return out
-
-
 def _ratios(current: Dict[str, object],
             reference: Dict[str, object]) -> Dict[str, float]:
     out: Dict[str, float] = {}
@@ -120,29 +92,12 @@ def compare_to_baseline(run: Dict[str, object],
             skipped.append(record["name"])
             continue
         comparable[record["name"]] = _ratios(record, reference)
-    # A batched-fleet record compares only when both runs carried one
-    # for the same fleet composition on the same array substrate; a
-    # baseline pinned before a fleet existed (or without numpy) simply
-    # contributes no ratio for it — never a failure.
-    base_fleets = {
-        record["name"]: record
-        for record in batched_records(baseline.get("batched"))
-    }
-    batched = {}
-    for record in batched_records(run.get("batched")):
-        reference = base_fleets.get(record["name"])
-        if (reference is not None
-                and record.get("backend") == reference.get("backend")
-                and record.get("groups") == reference.get("groups")):
-            batched[record["name"]] = _ratios(record, reference)
-    batched = batched or None
     return {
         "baseline_git_sha": baseline.get("git_sha"),
         "baseline_created_at": baseline.get("created_at"),
         "comparable": bool(comparable),
         "skipped": skipped,
         "workloads": comparable,
-        "batched": batched,
         "totals": _ratios(run.get("totals", {}), baseline.get("totals", {})),
     }
 
@@ -161,12 +116,6 @@ def regression_failures(deltas: Dict[str, object],
         if ratio["events_per_second_ratio"] < 1.0 - tolerance:
             failures.append(
                 f"{name}: events/s at "
-                f"{100 * ratio['events_per_second_ratio']:.0f}% of baseline"
-            )
-    for name, ratio in sorted((deltas.get("batched") or {}).items()):
-        if ratio["events_per_second_ratio"] < 1.0 - tolerance:
-            failures.append(
-                f"batched fleet {name}: events/s at "
                 f"{100 * ratio['events_per_second_ratio']:.0f}% of baseline"
             )
     return failures

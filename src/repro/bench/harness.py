@@ -149,7 +149,6 @@ def run_bench(
     config: Optional[SystemConfig] = None,
     repeats: int = DEFAULT_REPEATS,
     service: bool = False,
-    batched: bool = False,
 ) -> Dict[str, object]:
     """Run the pinned workload set and assemble the bench record.
 
@@ -157,14 +156,6 @@ def run_bench(
     store and records warm/cold request-latency percentiles under the
     ``service`` key (see :mod:`repro.bench.service`); the CLI turns it
     on by default, library callers opt in.
-
-    ``batched=True`` additionally measures the pinned batched fleets —
-    serial fused versus one vectorized sweep each, with an in-harness
-    bit-identity assertion — under the ``batched`` key (see
-    :mod:`repro.bench.batch`); same CLI-on/library-off default.  The
-    key is *always* a list: empty when the fleets were skipped, so a
-    later ``--check`` against this run never trips over a
-    shape-shifting schema (dict, ``None``, list).
     """
     if workloads is None:
         workloads = QUICK_WORKLOADS if quick else STANDARD_WORKLOADS
@@ -178,11 +169,6 @@ def run_bench(
         from repro.bench.service import run_service_bench
 
         service_record = run_service_bench(quick=quick)
-    batched_records: List[Dict[str, object]] = []
-    if batched:
-        from repro.bench.batch import run_batched_benches
-
-        batched_records = run_batched_benches(quick=quick)
     total_wall = sum(float(r["wall_seconds"]) for r in records)
     total_steps = sum(int(r["steps"]) for r in records)
     return {
@@ -194,7 +180,6 @@ def run_bench(
         "quick": bool(quick),
         "workloads": records,
         "service": service_record,
-        "batched": batched_records,
         "totals": {
             "wall_seconds": round(total_wall, 6),
             "steps": total_steps,
@@ -252,15 +237,4 @@ def format_bench_table(run: Dict[str, object],
         from repro.bench.service import format_service_record
 
         lines.append(format_service_record(run["service"]))
-    from repro.bench.baseline import batched_records
-    from repro.bench.batch import format_batched_record
-
-    batched_deltas = (deltas or {}).get("batched") or {}
-    for record in batched_records(run.get("batched")):
-        batched_line = format_batched_record(record)
-        delta = batched_deltas.get(record["name"])
-        if delta is not None:
-            ratio = delta["events_per_second_ratio"]
-            batched_line += f" [{(ratio - 1) * 100:+.1f}% vs baseline]"
-        lines.append(batched_line)
     return "\n".join(lines)

@@ -7,9 +7,7 @@ baseline?".  This module reads the whole measurement more carefully:
 * **per-workload deltas** against the pinned baseline, classified into
   ``ok`` / ``warn`` / ``regression`` verdicts at two thresholds (a CI
   gate wants one number; a human reading the report wants the early
-  warning too) — batched fleet records are scored by the same rules,
-  matched on fleet name + array backend + group composition so a
-  re-pinned or freshly added fleet never false-alarms;
+  warning too);
 * **per-phase deltas**: the share of wall time each profiler phase
   (``interpret``, ``cache_walk``, ``selector_decide``,
   ``region_build``) consumes, compared against the baseline's shares —
@@ -113,21 +111,6 @@ def _workload_history(
     history = []
     for run in trajectory:
         for record in run.get("workloads", []):
-            if record.get("name") == name:
-                history.append(float(record.get("events_per_second", 0.0)))
-                break
-    return history
-
-
-def _fleet_history(
-    trajectory: Sequence[Dict[str, object]], name: str
-) -> List[float]:
-    """Batched events/sec for fleet ``name`` over the trajectory."""
-    from repro.bench.baseline import batched_records
-
-    history = []
-    for run in trajectory:
-        for record in batched_records(run.get("batched")):
             if record.get("name") == name:
                 history.append(float(record.get("events_per_second", 0.0)))
                 break
@@ -264,83 +247,6 @@ def analyze_run(
         if _VERDICT_RANK[verdict] > _VERDICT_RANK[worst]:
             worst = verdict
 
-    # Batched fleet records are scored by the same rules as workloads
-    # (baseline ratio at two thresholds, trailing trajectory, behaviour
-    # fingerprints).  A baseline fleet only qualifies when its name,
-    # array backend and full group composition match — a re-pinned or
-    # newly added fleet contributes no ratio rather than a false alarm.
-    from repro.bench.baseline import batched_records
-
-    base_fleets = {
-        record["name"]: record
-        for record in batched_records((baseline or {}).get("batched"))
-    }
-    fleets: Dict[str, Dict[str, object]] = {}
-    for record in batched_records(run.get("batched")):
-        name = str(record.get("name"))
-        eps = float(record.get("events_per_second", 0.0))
-        verdicts = []
-        notes = []
-        entry = {"events_per_second": eps}
-
-        reference = base_fleets.get(name)
-        comparable = (
-            reference is not None
-            and reference.get("backend") == record.get("backend")
-            and reference.get("groups") == record.get("groups")
-        )
-        if comparable:
-            base_eps = float(reference.get("events_per_second", 0.0))
-            ratio = eps / base_eps if base_eps > 0 else 0.0
-            entry["baseline_ratio"] = round(ratio, 4)
-            verdicts.append(
-                _classify(1.0 - ratio, warn_tolerance, fail_tolerance)
-            )
-            if verdicts[-1] != "ok":
-                notes.append(
-                    f"batched throughput at {100 * ratio:.0f}% of baseline"
-                )
-            # Steps are the fleet's behaviour fingerprint (bit-identity
-            # pins them); max_lanes/refills pin the admission schedule.
-            for field in ("steps", "lanes", "max_lanes", "refills"):
-                if record.get(field) != reference.get(field):
-                    fingerprint_changes.append(
-                        f"fleet {name}: {field} "
-                        f"{reference.get(field)} -> {record.get(field)}"
-                    )
-        else:
-            entry["baseline_ratio"] = None
-            notes.append("no comparable baseline fleet")
-
-        history = _fleet_history(history_runs, name)
-        if history:
-            center = robust_center(history)
-            spread = robust_spread(history)
-            entry["trajectory"] = {
-                "runs": len(history),
-                "median_events_per_second": round(center, 1),
-                "mad_events_per_second": round(spread, 1),
-            }
-            if center > 0:
-                drop = 1.0 - eps / center
-                floor = max(spread * TRAJECTORY_Z,
-                            center * warn_tolerance)
-                if center - eps >= floor and drop >= warn_tolerance:
-                    verdicts.append(_classify(
-                        drop, warn_tolerance, fail_tolerance
-                    ))
-                    notes.append(
-                        f"below trailing-{len(history)} median by "
-                        f"{100 * drop:.0f}%"
-                    )
-
-        verdict = max(verdicts, key=_VERDICT_RANK.get, default="ok")
-        entry["verdict"] = verdict
-        entry["notes"] = notes
-        fleets[name] = entry
-        if _VERDICT_RANK[verdict] > _VERDICT_RANK[worst]:
-            worst = verdict
-
     totals_entry: Dict[str, object] = {}
     if baseline is not None:
         base_totals = baseline.get("totals", {})
@@ -355,7 +261,6 @@ def analyze_run(
         "warn_tolerance": warn_tolerance,
         "fail_tolerance": fail_tolerance,
         "workloads": workloads,
-        "batched": fleets,
         "totals": totals_entry,
         "fingerprint_changes": fingerprint_changes,
         "trajectory_runs": len(history_runs),
@@ -390,12 +295,7 @@ def format_analysis(analysis: Dict[str, object],
         lines.append("|---|---:|---:|---|---|")
     else:
         lines.append(f"bench regression analysis: {_MARKS.get(overall)}")
-    rows = list(sorted(analysis.get("workloads", {}).items()))
-    rows += [
-        (f"fleet:{name}", entry)
-        for name, entry in sorted(analysis.get("batched", {}).items())
-    ]
-    for name, entry in rows:
+    for name, entry in sorted(analysis.get("workloads", {}).items()):
         ratio = entry.get("baseline_ratio")
         ratio_text = f"{(ratio - 1) * 100:+.1f}%" if ratio else "-"
         notes = "; ".join(entry.get("notes", [])) or "-"

@@ -131,7 +131,6 @@ class TraceWalkTable:
         "region", "path", "path_len", "path0", "deciders", "counts",
         "offsets", "sizes", "run_len", "run_insts", "dyn_exit",
         "link_taken", "link_fall", "adv", "cyc", "run_hits", "sites",
-        "arena_base", "arena_tidx", "arena_entry",
     )
 
     def __init__(self, region: Region) -> None:
@@ -157,14 +156,6 @@ class TraceWalkTable:
         #: ``(target block id, site)`` for every link slot this table
         #: registered — unregistered again when the table is retired.
         self.sites: List[Tuple[int, _LinkSite]] = []
-        #: Position of this table in a batched-execution arena (set by
-        #: :meth:`repro.batch.kernel.FleetKernel.register_table`); -1
-        #: outside batched runs.  ``arena_entry`` is the absolute arena
-        #: position a transfer *into* this table lands on (for a trace,
-        #: its base — traces are entered at path position 0).
-        self.arena_base = -1
-        self.arena_tidx = -1
-        self.arena_entry = -1
 
     def fold_edges(self, edge_profile: Dict) -> None:
         """Fold the batched walked-edge counts into ``edge_profile``."""
@@ -198,20 +189,12 @@ class CFGWalkTable:
     of targets a *taken* transfer may stay internal on (observed edges
     for dynamic blocks, the whole block set otherwise), icache layout
     offsets, the two patchable link slots, and the dynamic-target flag.
-
-    The records are *flat by position* too: ``block_list`` fixes a
-    deterministic block order (the region's own), ``index_of`` inverts
-    it, and ``entry_pos`` locates the region entry — which is what
-    lets the batched kernel concatenate CFG tables into the same
-    global walk arena as traces (one arena row per block, internal
-    successors precomputed per branch direction).
     """
 
     is_trace = False
 
     __slots__ = ("region", "entry", "blocks", "records", "entry_record",
-                 "sites", "block_list", "index_of", "entry_pos",
-                 "arena_base", "arena_tidx", "arena_entry")
+                 "sites")
 
     def __init__(self, region: Region) -> None:
         self.region = region
@@ -220,17 +203,6 @@ class CFGWalkTable:
         self.records: Dict[BasicBlock, list] = {}
         self.entry_record: Optional[list] = None
         self.sites: List[Tuple[int, _LinkSite]] = []
-        self.block_list: Tuple[BasicBlock, ...] = tuple(region.block_list)
-        self.index_of: Dict[BasicBlock, int] = {
-            block: position for position, block in enumerate(self.block_list)
-        }
-        self.entry_pos = self.index_of[region.entry]
-        #: Arena coordinates, mirroring :class:`TraceWalkTable`;
-        #: ``arena_entry`` is ``arena_base + entry_pos`` (CFG regions
-        #: are always entered at their entry block).
-        self.arena_base = -1
-        self.arena_tidx = -1
-        self.arena_entry = -1
 
 
 class DispatchTable:
@@ -264,16 +236,7 @@ class DispatchTable:
         #: Every trace table ever compiled this run, for edge folding
         #: (tables of evicted regions keep their walked-edge counts).
         self.trace_tables: List[TraceWalkTable] = []
-        #: Every CFG table ever compiled this run — the batched kernel
-        #: banks walked-edge and region counts per arena row and folds
-        #: them at lane finish, exactly like the trace tables.
-        self.cfg_tables: List[CFGWalkTable] = []
         self._link_sites: Dict[int, List[_LinkSite]] = {}
-        #: Optional ``hook(site, table_or_None)`` invoked after every
-        #: link-slot patch — a mirror point for layers that shadow the
-        #: link slots elsewhere (the batched kernel keeps arena link
-        #: columns in sync through it).  ``None`` costs nothing.
-        self.on_link_patch: Optional[Callable] = None
 
     # -- compilation -----------------------------------------------------
     def _register(
@@ -372,7 +335,6 @@ class DispatchTable:
                         table, block.fallthrough, record, REC_LINK_FALL
                     )
         table.entry_record = records[region.entry]
-        self.cfg_tables.append(table)
         return table
 
     # -- residency and link patching -------------------------------------
@@ -381,11 +343,8 @@ class DispatchTable:
         table = self.compile(region)
         entry_id = region.entry.block_id
         self.tables_by_entry[entry_id] = table
-        hook = self.on_link_patch
         for site in self._link_sites.get(entry_id, ()):
             site.container[site.key] = table
-            if hook is not None:
-                hook(site, table)
         return table
 
     def retire(self, region: Region) -> None:
@@ -396,11 +355,8 @@ class DispatchTable:
         if table is None or table.region is not region:
             return
         self.tables_by_entry[entry_id] = None
-        hook = self.on_link_patch
         for site in self._link_sites.get(entry_id, ()):
             site.container[site.key] = None
-            if hook is not None:
-                hook(site, None)
         link_sites = self._link_sites
         for tid, site in table.sites:
             sites = link_sites.get(tid)

@@ -16,9 +16,8 @@ Commands:
   re-running anything;
 * ``obs report`` — render the merged fleet-telemetry JSON written by
   ``run_grid(telemetry_out=...)`` (see ``docs/observability.md``);
-* ``fleet`` — run a (benchmark x selector x seed) grid as one batched
-  fleet: the vectorized kernel when the fleet is wide enough, else one
-  cell at a time on the fused core (see ``docs/batching.md``);
+* ``fleet`` — run a (benchmark x selector x seed) grid as one fleet,
+  one cell at a time on the fused core (see ``docs/batching.md``);
 * ``serve`` — the simulation service: an asyncio HTTP server resolving
   grid-cell requests through the store / single-flight coalescing /
   the job engine (see ``docs/service.md``); ``serve --smoke`` boots a
@@ -204,8 +203,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     run = run_bench(quick=args.quick, repeats=args.repeats,
-                    service=not args.no_service,
-                    batched=not args.no_batched)
+                    service=not args.no_service)
     deltas = None
     baseline = None if args.no_baseline else load_baseline(
         args.baseline, quick=args.quick)
@@ -321,21 +319,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.errors import ServeError, StoreError
     from repro.obs import JsonlSink, MetricsRegistry, Observer
     from repro.serve import GridServer, SimulationService, run_smoke
-    from repro.serve.service import DEFAULT_FLEET_MAX_LANES
     from repro.store import ResultStore
 
     # --store/--port default to None so smoke mode can tell "explicit"
     # from "unset": unset means a throwaway store and an ephemeral port.
     store_root = args.store if args.store is not None else ".repro-store"
     port = args.port if args.port is not None else 8765
-    # --max-lanes 0 = unbounded (one fleet regardless of batch size);
-    # unset = the service default.
-    if args.max_lanes is None:
-        fleet_max_lanes = DEFAULT_FLEET_MAX_LANES
-    elif args.max_lanes == 0:
-        fleet_max_lanes = None
-    else:
-        fleet_max_lanes = args.max_lanes
 
     if args.smoke:
         try:
@@ -372,8 +361,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_retries=args.max_retries,
             observer=observer,
             code_version=args.code_version,
-            backend=args.backend,
-            fleet_max_lanes=fleet_max_lanes,
         )
         server = GridServer(service, host=args.host, port=port,
                             observer=observer)
@@ -404,20 +391,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    """``repro fleet``: run a (benchmark x selector x seed) grid batched.
+    """``repro fleet``: run a (benchmark x selector x seed) grid as one
+    fleet.
 
-    One lane per cell through the vectorized fleet kernel, or one cell
-    at a time on the fused core when the fleet can never fill a vector
-    round — the CLI face of :func:`repro.batch.run_fleet`.  Reports
-    aggregate throughput, which core ran and why, plus a per-cell
-    metric line; every cell's numbers are bit-identical to what
-    ``repro run`` prints for it.
+    The cells run one at a time on the fused core — the CLI face of
+    :func:`repro.batch.run_fleet`.  Reports aggregate throughput plus a
+    per-cell metric line; every cell's numbers are bit-identical to
+    what ``repro run`` prints for it.
     """
     from repro.batch import BatchCell, run_fleet
-    from repro.batch import fleet as fleet_mod
-    from repro.batch import kernel as kernel_mod
     from repro.errors import ConfigError
-    from repro.obs import CollectingSink, Observer
 
     benchmarks = (args.benchmarks.split(",") if args.benchmarks
                   else list(benchmark_names()))
@@ -429,38 +412,14 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         for selector in selectors
         for seed in range(args.seed, args.seed + args.seeds)
     ]
-    sink = CollectingSink(categories=("fleet",))
-    observer = Observer(sink=sink)
     try:
-        fleet = run_fleet(cells, config=_config_from(args),
-                          backend=args.backend, max_lanes=args.max_lanes,
-                          observer=observer)
+        fleet = run_fleet(cells, config=_config_from(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    live = (fleet.lanes if args.max_lanes is None
-            else min(args.max_lanes, fleet.lanes))
-    fused = not fleet_mod.vector_rounds_possible(fleet.backend, live)
-    rounds = "" if fused else f", {fleet.rounds} rounds"
-    print(f"{fleet.lanes} lanes ({fleet.backend} backend): "
-          f"{fleet.steps:,} events in {fleet.wall_seconds:.2f}s "
-          f"({fleet.events_per_second:,.0f} events/s{rounds})")
-    if fused:
-        why = (f"fewer than {kernel_mod.SCALAR_CUTOVER} live lanes can "
-               f"never fill a vector round" if fleet.backend == "numpy"
-               else "the python backend has no vector rounds")
-        print(f"fused core: the cells ran one at a time, because {why}")
-    if fleet.max_lanes < fleet.lanes:
-        # Queue progress from the obs event stamps: the last admission
-        # says how the stream ended; settled counts finish afterwards.
-        refill_events = [e for e in sink.events if e.kind == "fleet_refill"]
-        last = refill_events[-1].payload if refill_events else {}
-        slots = "slot" if fleet.max_lanes == 1 else "slots"
-        print(f"queue: {fleet.lanes} cells over {fleet.max_lanes} {slots}, "
-              f"{fleet.refills} refills (last admission: "
-              f"{last.get('settled', 0)} settled / "
-              f"{last.get('queued', 0)} queued / "
-              f"{last.get('active', 0)} active)")
+    print(f"{fleet.lanes} cells: {fleet.steps:,} events in "
+          f"{fleet.wall_seconds:.2f}s "
+          f"({fleet.events_per_second:,.0f} events/s)")
     print(f"{'benchmark':<22s} {'selector':<14s} {'seed':>4s} "
           f"{'hit%':>7s} {'regions':>8s} {'transitions':>12s}")
     for cell in cells:
@@ -638,10 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--no-service", action="store_true",
                        help="skip the service-latency workload (warm/cold "
                             "request p50/p99 through `repro serve`)")
-    bench.add_argument("--no-batched", action="store_true",
-                       help="skip the batched-fleet workload (serial vs "
-                            "vectorized sweep with bit-identity check; "
-                            "see docs/batching.md)")
     bench.set_defaults(func=cmd_bench)
 
     serve = sub.add_parser(
@@ -671,16 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--code-version", default=None,
                        help="pin the store address component that normally "
                             "tracks the git SHA")
-    serve.add_argument("--backend", default="serial",
-                       choices=("serial", "batched", "batched-numpy",
-                                "batched-python"),
-                       help="cold-dispatch backend: per-cell job engine, "
-                            "or one vectorized fleet per batch (results "
-                            "are bit-identical; see docs/batching.md)")
-    serve.add_argument("--max-lanes", type=int, default=None, metavar="N",
-                       help="batched backends: cap each fleet's live lane "
-                            "population and stream larger batches from a "
-                            "queue (default 256; 0 = unbounded)")
     serve.add_argument("--trace-events", metavar="PATH", default=None,
                        help="write a structured JSONL event log to PATH")
     serve.add_argument("--smoke", action="store_true",
@@ -705,7 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_report.set_defaults(func=cmd_obs_report)
 
     fleet = sub.add_parser(
-        "fleet", help="run a (benchmark x selector x seed) grid batched")
+        "fleet", help="run a (benchmark x selector x seed) grid as one "
+                      "fleet")
     fleet.add_argument("--benchmarks", default=None, metavar="CSV",
                        help="comma-separated benchmarks (accepts "
                             "micro:<motif>; default: all SPEC stand-ins)")
@@ -718,19 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--seeds", type=int, default=1, metavar="N",
                        help="seeds per (benchmark, selector) pair, "
                             "counting up from --seed (default 1)")
-    fleet.add_argument("--backend", default="auto",
-                       choices=("auto", "numpy", "python"),
-                       help="array backend (default auto: numpy when "
-                            "installed; python runs every cell on the "
-                            "fused core; see docs/batching.md)")
-    fleet.add_argument("--max-lanes", type=int, default=None, metavar="N",
-                       help="cap the live lane population; remaining "
-                            "cells stream from a queue into freed slots "
-                            "(default: all cells at once). Results are "
-                            "bit-identical either way.")
     fleet.add_argument("--cache-capacity", type=int, default=None,
                        metavar="BYTES",
-                       help="bound every lane's code cache "
+                       help="bound every cell's code cache "
                             "(default unbounded)")
     fleet.add_argument("--eviction", choices=("flush", "fifo"),
                        default="flush", help="bounded-cache policy")

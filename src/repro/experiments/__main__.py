@@ -37,12 +37,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="processes to fan grid cells over (default 1; "
                              "results are identical at any worker count)")
-    parser.add_argument("--backend", default="serial",
-                        choices=["serial", "batched", "batched-numpy",
-                                 "batched-python"],
-                        help="grid execution backend: the per-cell job "
-                             "engine, or one vectorized fleet (results "
-                             "are bit-identical; see docs/batching.md)")
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="content-addressed result store directory: "
                              "already-computed cells are reused, freshly "
@@ -92,7 +86,7 @@ def main(argv=None) -> int:
         grid = run_grid(scale=args.scale, seed=args.seed,
                         workers=args.workers, manifest_dir=manifest_dir,
                         store=args.store, max_retries=args.max_retries,
-                        job_timeout=args.job_timeout, backend=args.backend)
+                        job_timeout=args.job_timeout)
         print(f"grid simulated in {time.time() - started:.1f}s\n")
         if manifest_dir is not None:
             print(f"manifest written to "

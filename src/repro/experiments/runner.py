@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.config import SystemConfig
-from repro.errors import ConfigError
 from repro.experiments.manifest import build_manifest, write_manifest
 from repro.jobs.engine import Job, JobEngine
 from repro.jobs.faults import FaultInjector
@@ -27,10 +26,6 @@ from repro.selection.registry import SELECTOR_NAMES
 from repro.store import ResultStore, cell_key
 from repro.system.simulator import simulate
 from repro.workloads import benchmark_names, build_benchmark
-
-#: ``run_grid`` execution backends: the job-engine path, or one fleet
-#: through :mod:`repro.batch` (optionally pinning the array substrate).
-GRID_BACKENDS = ("serial", "batched", "batched-numpy", "batched-python")
 
 
 def _grid_cell(
@@ -96,8 +91,6 @@ def run_grid(
     telemetry: bool = False,
     telemetry_out: Optional[str] = None,
     telemetry_ring: Optional[int] = None,
-    backend: str = "serial",
-    fleet_max_lanes: Optional[int] = None,
 ) -> ExperimentGrid:
     """Simulate every cell and compute its metric report.
 
@@ -133,48 +126,8 @@ def run_grid(
     merged document as JSON (consumed by ``repro obs report``);
     ``telemetry_ring`` sizes each worker's event-tail ring buffer
     (metrics and profile data are never dropped regardless).
-
-    ``backend="batched"`` computes every missing cell as one fleet
-    through :func:`repro.batch.run_fleet` instead of the job engine —
-    vectorized over SoA state when numpy is installed, bit-identical
-    to the serial run either way (``batched-numpy``/``batched-python``
-    pin the array substrate; see ``docs/batching.md``).  The store
-    interaction is unchanged: cached cells are served from disk and
-    fresh ones persisted.  ``workers`` is ignored (a fleet is one
-    process); per-worker ``telemetry`` and the reference pipeline
-    (``fast=False``) need per-cell workers and are ConfigErrors.
-    ``fleet_max_lanes`` caps the fleet's live lane population —
-    remaining cells stream from a queue into freed slots, bounding
-    memory at the cap with bit-identical results (see
-    :func:`repro.batch.run_fleet`).
     """
     started = time.monotonic()
-    if backend not in GRID_BACKENDS:
-        raise ConfigError(
-            f"unknown grid backend {backend!r}: expected one of "
-            f"{', '.join(GRID_BACKENDS)}"
-        )
-    batched = backend != "serial"
-    if batched and (telemetry or telemetry_out is not None):
-        raise ConfigError(
-            "telemetry requires per-cell workers: use backend='serial' "
-            "(batched lanes run unobserved; fleet progress is reported "
-            "at batch granularity)"
-        )
-    if batched and not fast:
-        raise ConfigError(
-            "fast=False pins the reference state machine, "
-            "which has no batched equivalent: use backend='serial'"
-        )
-    if batched and faults is not None:
-        raise ConfigError(
-            "fault injection drives the job engine: use backend='serial'"
-        )
-    if fleet_max_lanes is not None and not batched:
-        raise ConfigError(
-            "fleet_max_lanes is a batched-backend knob: use "
-            "backend='batched' (or a pinned substrate variant)"
-        )
     config = config if config is not None else SystemConfig()
     bench_list = tuple(benchmarks) if benchmarks is not None else benchmark_names()
     selector_list = tuple(selectors) if selectors is not None else SELECTOR_NAMES
@@ -210,21 +163,7 @@ def run_grid(
                 continue
         missing.append(cell)
 
-    if missing and batched:
-        from repro.batch import BatchCell, run_fleet
-
-        fleet_cells = [BatchCell(bench, selector, scale=scale, seed=seed)
-                       for bench, selector in missing]
-        fleet_backend = backend[len("batched-"):] if "-" in backend else "auto"
-        result = run_fleet(fleet_cells, config=config,
-                           backend=fleet_backend, observer=obs,
-                           max_lanes=fleet_max_lanes)
-        for fleet_cell, cell in zip(fleet_cells, missing):
-            report = result.reports[fleet_cell]
-            reports[cell] = report
-            if store is not None:
-                store.put(keys[cell], report)
-    elif missing:
+    if missing:
         jobs = [
             Job(f"{bench}:{selector}",
                 (bench, selector, scale, seed, config, fast))
@@ -261,8 +200,7 @@ def run_grid(
         fleet.write(telemetry_out)
 
     if manifest_dir is not None:
-        extra = {"workers": workers, "cells": len(cells),
-                 "backend": backend}
+        extra = {"workers": workers, "cells": len(cells)}
         if store is not None:
             extra["store"] = store.stats.as_dict()
         write_manifest(manifest_dir, build_manifest(

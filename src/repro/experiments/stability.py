@@ -85,32 +85,6 @@ class StabilityReport:
         )
 
 
-def _ratio_from_reports(
-    reports: Dict[tuple, MetricReport],
-    subject_selector: str,
-    baseline_selector: str,
-    attribute: str,
-    seed: int,
-    benchmarks: Sequence[str],
-) -> float:
-    """Mean per-benchmark ratio out of precomputed cell reports."""
-    ratios: List[float] = []
-    for bench in benchmarks:
-        subject = reports[(bench, subject_selector, seed)]
-        baseline = reports[(bench, baseline_selector, seed)]
-        ratio = safe_ratio(
-            getattr(subject, attribute), getattr(baseline, attribute)
-        )
-        if ratio is not None:
-            ratios.append(ratio)
-    if not ratios:
-        raise ConfigError(
-            f"ratio {attribute} undefined for every benchmark "
-            f"({subject_selector} vs {baseline_selector})"
-        )
-    return fmean(ratios)
-
-
 def seed_stability(
     subject_selector: str,
     baseline_selector: str,
@@ -119,60 +93,19 @@ def seed_stability(
     scale: float = 0.25,
     config: SystemConfig | None = None,
     benchmarks: Sequence[str] | None = None,
-    backend: str = "serial",
 ) -> StabilityReport:
-    """Measure a headline ratio's spread across execution seeds.
-
-    ``backend="batched"`` runs the whole sweep — every (benchmark,
-    selector, seed) cell — as one fleet through
-    :func:`repro.batch.run_fleet`; the per-seed ratios are identical
-    to the serial sweep because every cell's report is (see
-    ``docs/batching.md``).
-    """
+    """Measure a headline ratio's spread across execution seeds."""
     if not seeds:
         raise ConfigError("at least one seed is required")
     config = config if config is not None else SystemConfig()
     bench_list = tuple(benchmarks) if benchmarks is not None else benchmark_names()
-    if backend != "serial":
-        if backend not in ("batched", "batched-numpy", "batched-python"):
-            raise ConfigError(
-                f"unknown stability backend {backend!r}: expected "
-                f"'serial', 'batched', 'batched-numpy' or "
-                f"'batched-python'"
-            )
-        from repro.batch import BatchCell, run_fleet
-
-        # One lane per (benchmark, selector, seed); dict.fromkeys
-        # dedupes the subject==baseline degenerate sweep.
-        wanted = dict.fromkeys(
-            (bench, selector, seed)
-            for seed in seeds
-            for bench in bench_list
-            for selector in (subject_selector, baseline_selector)
+    per_seed = {
+        seed: _suite_ratio(
+            subject_selector, baseline_selector, attribute,
+            seed, scale, config, bench_list,
         )
-        fleet_cells = [BatchCell(bench, selector, scale=scale, seed=seed)
-                       for bench, selector, seed in wanted]
-        fleet_backend = backend[len("batched-"):] if "-" in backend else "auto"
-        result = run_fleet(fleet_cells, config=config, backend=fleet_backend)
-        reports = {
-            key: result.reports[cell]
-            for key, cell in zip(wanted, fleet_cells)
-        }
-        per_seed = {
-            seed: _ratio_from_reports(
-                reports, subject_selector, baseline_selector, attribute,
-                seed, bench_list,
-            )
-            for seed in seeds
-        }
-    else:
-        per_seed = {
-            seed: _suite_ratio(
-                subject_selector, baseline_selector, attribute,
-                seed, scale, config, bench_list,
-            )
-            for seed in seeds
-        }
+        for seed in seeds
+    }
     return StabilityReport(
         subject=subject_selector,
         baseline=baseline_selector,

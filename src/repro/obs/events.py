@@ -146,31 +146,31 @@ EVENT_KINDS: Dict[str, EventKind] = {
         "serve", "debug",
         "A request was deduplicated onto an identical in-flight job "
         "(single-flight)."),
-    # -- batched fleet execution (repro.batch; step is always 0, batch
+    # -- fleet execution (repro.batch; step is always 0, batch
     # -- granularity — per-step events are a serial-pipeline concern) ----
     "fleet_started": EventKind(
         "fleet", "info",
-        "A batched fleet run began; payload carries the lane count, the "
-        "array backend and the live-lane bound (max_lanes: 1 when the "
-        "cells run one at a time on the fused core)."),
+        "A fleet run began; payload carries the cell count (lanes), the "
+        "resolved backend name and the live-lane bound (max_lanes: "
+        "always 1, the cells run one at a time on the fused core)."),
     "fleet_lane_finished": EventKind(
         "fleet", "debug",
-        "One fleet lane retired (halted or exhausted its step budget); "
-        "payload carries the lane's cell and step count."),
+        "One fleet cell finished (halted or exhausted its step budget); "
+        "payload carries the cell and its step count."),
     "fleet_lane_failed": EventKind(
         "fleet", "warn",
-        "One fleet lane's cell failed under on_error='continue'; the "
-        "slot was refilled and the fleet streamed on.  Payload carries "
-        "the cell and the contained error."),
+        "One fleet cell failed under on_error='continue'; the fleet went "
+        "on to the next cell.  Payload carries the cell and the "
+        "contained error."),
     "fleet_refill": EventKind(
         "fleet", "debug",
-        "A streaming fleet admitted a queued cell into a freed lane "
-        "slot; payload carries the cell, the slot, and the queue "
-        "progress counters (settled / queued / active)."),
+        "A fleet admitted its next queued cell into slot 0 (one per "
+        "cell after the first); payload carries the cell, the slot, "
+        "and the queue progress counters (settled / queued / active)."),
     "fleet_finished": EventKind(
         "fleet", "info",
-        "A batched fleet run completed; payload carries rounds, "
-        "aggregate steps and wall time."),
+        "A fleet run completed; payload carries rounds (one per cell), "
+        "refills, errors, aggregate steps and wall time."),
 }
 
 _RESERVED = ("kind", "step", "category", "severity", "ts", "seq")

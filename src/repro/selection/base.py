@@ -163,7 +163,7 @@ def _raw_hook(selector: RegionSelector, name: str):
 
 
 def fast_hooks(selector: RegionSelector) -> tuple:
-    """The selector's callbacks as the fused loop and fleet lanes call them.
+    """The selector's callbacks as the fused loop calls them.
 
     Returns ``(observe_interpreted, on_cache_enter,
     on_interpreted_taken, on_cache_exit, on_taken_raw, on_enter_raw)``.

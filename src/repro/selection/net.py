@@ -121,18 +121,6 @@ class NETSelector(RegionSelector):
     def threshold(self) -> int:
         return self.config.net_threshold
 
-    def interp_quiescent(self) -> bool:
-        """True while no recording is in flight.
-
-        Every ``observe_interpreted`` call would return immediately, so
-        a batched pipeline may advance whole constant-decision interp
-        spans without feeding the step stream.  Sound because recorders
-        only ever start inside ``on_interpreted_taken`` /
-        ``on_cache_exit`` — taken branches and cache exits, which by
-        construction never occur inside a never-taken span.
-        """
-        return not self._recorders
-
     def observe_interpreted(self, step: Step) -> None:
         if not self._recorders:
             return

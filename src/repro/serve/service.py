@@ -59,13 +59,6 @@ def _cell_worker(task: Tuple[str, str, float, int, object, bool]) -> MetricRepor
     )
 
 
-#: Default live-lane cap for batched cold dispatch: a coalesced batch
-#: larger than this streams through one bounded fleet (slots re-seeded
-#: from the queue as lanes settle) instead of allocating one giant
-#: fleet — memory tracks the cap, results are bit-identical.
-DEFAULT_FLEET_MAX_LANES = 256
-
-
 @dataclass
 class ServiceStats:
     """Resolution-path counters for one service instance."""
@@ -115,36 +108,7 @@ class SimulationService:
         batch_window: float = 0.005,
         fast: bool = True,
         mp_context=None,
-        backend: str = "serial",
-        fleet_max_lanes: Optional[int] = DEFAULT_FLEET_MAX_LANES,
     ) -> None:
-        if backend not in ("serial", "batched", "batched-numpy",
-                           "batched-python"):
-            raise ServeError(
-                f"unknown service backend {backend!r}: expected 'serial', "
-                f"'batched', 'batched-numpy' or 'batched-python'"
-            )
-        if backend != "serial" and not fast:
-            raise ServeError(
-                "fast=False pins the reference pipeline, which has no "
-                "batched equivalent: use backend='serial'"
-            )
-        if fleet_max_lanes is not None and fleet_max_lanes < 1:
-            raise ServeError(
-                f"fleet_max_lanes must be >= 1 or None, "
-                f"got {fleet_max_lanes}"
-            )
-        #: Cold-dispatch execution backend: the job engine, or one
-        #: vectorized fleet per batch (see ``docs/batching.md``).  The
-        #: batching window upstream means a concurrent burst of cold
-        #: cells becomes one fleet — lanes advance in lockstep and
-        #: every waiter resolves when its config group completes.
-        self.backend = backend
-        #: Live-lane cap per cold-dispatch fleet (``None`` =
-        #: unbounded): batches beyond the cap stream through the
-        #: kernel's cell queue, bounding memory at the cap while the
-        #: vector population stays wide.
-        self.fleet_max_lanes = fleet_max_lanes
         self.store = store
         self.workers = max(1, workers)
         self.job_timeout = job_timeout
@@ -278,9 +242,6 @@ class SimulationService:
         Job ids are the cell digests (unique by construction — the
         single-flight tier guarantees one pending entry per digest).
         """
-        if self.backend != "serial":
-            self._run_batch_fleet(batch)
-            return
         by_digest = {pending.digest: pending for pending in batch}
 
         def on_complete(job_id: str, report: MetricReport) -> None:
@@ -308,42 +269,6 @@ class SimulationService:
                  pending.request.config, self.fast))
             for pending in batch
         ])
-
-    def _run_batch_fleet(self, batch: List[_Pending]) -> None:
-        """Worker thread: run one batch as vectorized fleet(s).
-
-        ``run_fleet`` takes one config for the whole fleet, so the
-        batch is grouped by config first — each group is one fleet,
-        and within a group the unique digests guarantee unique
-        (benchmark, selector, scale, seed) cells.  Reports are
-        bit-identical to the job-engine path; waiters resolve when
-        their group's fleet completes (batch granularity, not per
-        cell).  Persist-before-settle is preserved per cell.
-        """
-        from repro.batch import BatchCell, run_fleet
-
-        fleet_backend = (self.backend[len("batched-"):]
-                         if "-" in self.backend else "auto")
-        groups: Dict[str, List[_Pending]] = {}
-        for pending in batch:
-            groups.setdefault(repr(pending.request.config), []).append(pending)
-        for group in groups.values():
-            cells = [
-                BatchCell(pending.request.benchmark,
-                          pending.request.selector,
-                          scale=pending.request.scale,
-                          seed=pending.request.seed)
-                for pending in group
-            ]
-            fleet = run_fleet(cells, config=group[0].request.config,
-                              backend=fleet_backend, observer=self.obs,
-                              max_lanes=self.fleet_max_lanes)
-            for pending, cell in zip(group, cells):
-                report = fleet.reports[cell]
-                self.store.put(pending.key, report)
-                self._loop.call_soon_threadsafe(
-                    self._settle, pending.digest, report
-                )
 
     def _settle(self, digest: str, report: MetricReport) -> None:
         """Event-loop side: hand a computed report to its waiters."""

@@ -1,25 +1,20 @@
-"""Property tests for the batched fleet (hypothesis).
+"""Property tests for fleet execution (hypothesis).
 
 The fleet contract says results depend only on each cell's coordinate,
-never on which lanes share a batch: *any* partition of a grid into
-fleets — any grouping, any order within a group — must produce
-per-cell reports identical to the serial oracle.  Hypothesis explores
-the partition space; the oracle is computed once per session.  Fleets
-this small would run on the fused core, so the properties force the
-numpy kernel (``fleet_kernel``) to keep its scheduling under test.
+never on which cells share a fleet: *any* partition of a grid into
+fleets — any grouping, any order within a group, any ``max_lanes`` —
+must produce per-cell reports identical to the serial oracle.
+Hypothesis explores the partition space; the oracle is computed once
+per module.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import BatchCell, available_backends, run_fleet
-from repro.batch import kernel as kernel_mod
+from repro.batch import BatchCell, build_fleet_program, run_fleet
 from repro.metrics.summary import MetricReport
 from repro.system.simulator import simulate
-from repro.batch.fleet import build_fleet_program
-
-BACKENDS = available_backends()
 
 #: A small, heterogeneous grid: three motifs with different region
 #: shapes (loop nest, self loop, trace chain) across two selectors.
@@ -42,15 +37,7 @@ def oracle():
     return reports
 
 
-#: The forced kernel patch is constant across examples, so one
-#: function-scoped ``fleet_kernel`` per test is safe under hypothesis.
-KERNEL_SETTINGS = dict(
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-
-
-@settings(max_examples=12, **KERNEL_SETTINGS)
+@settings(max_examples=12, deadline=None)
 @given(
     groups=st.lists(st.integers(min_value=0, max_value=2),
                     min_size=len(CELLS), max_size=len(CELLS)),
@@ -58,20 +45,18 @@ KERNEL_SETTINGS = dict(
     max_lanes=st.one_of(st.none(),
                         st.integers(min_value=1, max_value=len(CELLS))),
 )
-def test_any_partition_matches_serial(fleet_kernel, oracle, groups, order,
-                                      max_lanes):
+def test_any_partition_matches_serial(oracle, groups, order, max_lanes):
     """Shuffle the grid, split it into up to three fleets, run each.
 
-    ``max_lanes`` additionally varies the admission schedule: a fleet
-    may run full-width (``None``) or stream its cells through as few as
-    one live slot — the reports must not move either way.
+    ``max_lanes`` is accepted at any valid value; the reports must not
+    move either way.
     """
     batches = {}
     for position, cell_index in enumerate(order):
         batches.setdefault(groups[position], []).append(CELLS[cell_index])
     merged = {}
     for batch in batches.values():
-        fleet = run_fleet(batch, backend="numpy", max_lanes=max_lanes)
+        fleet = run_fleet(batch, max_lanes=max_lanes)
         merged.update(fleet.reports)
     assert merged == oracle
 
@@ -79,8 +64,8 @@ def test_any_partition_matches_serial(fleet_kernel, oracle, groups, order,
 #: Mixed-mode pool: trace-resident chains (`net` installs traces), CFG
 #: region cells (the combined selectors install multi-path regions),
 #: and interp-heavy cells (tiny scales finish before regions dominate).
-#: Any subset in any lane order must land every execution mode the
-#: kernel distinguishes next to every other one.
+#: Any subset in any order must land every execution mode next to
+#: every other one.
 MIXED_POOL = tuple(
     BatchCell(f"micro:{motif}", selector, scale=scale, seed=seed)
     for motif, selector, scale, seed in (
@@ -107,32 +92,18 @@ def mixed_oracle():
     return reports
 
 
-@settings(max_examples=10, **KERNEL_SETTINGS)
+@settings(max_examples=10, deadline=None)
 @given(
     order=st.permutations(range(len(MIXED_POOL))),
     size=st.integers(min_value=2, max_value=len(MIXED_POOL)),
-    compaction=st.booleans(),
-    backend=st.sampled_from(BACKENDS),
-    cutover=st.sampled_from((0, kernel_mod.SCALAR_CUTOVER)),
     max_lanes=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
 )
-def test_mixed_mode_interleavings_match_serial(fleet_kernel, mixed_oracle,
-                                               order, size, compaction,
-                                               backend, cutover, max_lanes):
-    """Any interleaving of CFG, interp and trace lanes, with compaction
-    on or off, the vector path forced or cut over, and any streaming
-    admission schedule, is bit-identical to the serial oracle on every
-    available backend.  The kernel is forced, so a numpy draw at the
-    shipped cutover exercises the kernel's straggler loop; python draws
-    run on the fused core."""
+def test_mixed_mode_interleavings_match_serial(mixed_oracle, order, size,
+                                               max_lanes):
+    """Any interleaving of CFG, interp and trace cells, under any
+    ``max_lanes``, is bit-identical to the serial oracle."""
     cells = [MIXED_POOL[i] for i in order[:size]]
-    old = kernel_mod.SCALAR_CUTOVER
-    kernel_mod.SCALAR_CUTOVER = cutover
-    try:
-        fleet = run_fleet(cells, backend=backend, compaction=compaction,
-                          max_lanes=max_lanes)
-    finally:
-        kernel_mod.SCALAR_CUTOVER = old
+    fleet = run_fleet(cells, max_lanes=max_lanes)
     for cell in cells:
         assert fleet.reports[cell] == mixed_oracle[cell]
 

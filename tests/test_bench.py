@@ -110,6 +110,30 @@ class TestBaselineComparison:
     def test_missing_baseline_loads_as_none(self, tmp_path):
         assert load_baseline(str(tmp_path / "nope.json")) is None
 
+    @pytest.mark.parametrize("shape", ["list", "dict", "none", "empty"])
+    def test_legacy_fleet_entries_are_not_compared(self, tiny_run, shape):
+        # Runs and baselines recorded before the pinned fleets went
+        # (the committed BENCH_run.json among them) carry a "batched"
+        # entry in one of these shapes.  A fleet at a tenth of its
+        # baseline throughput once failed the gate; now only the
+        # workloads are compared.
+        def fleet_entry(eps):
+            record = {"name": "mixed-fleet", "backend": "numpy",
+                      "lanes": 128, "events_per_second": eps}
+            return {"list": [record], "dict": record, "none": None,
+                    "empty": []}[shape]
+
+        run = json.loads(json.dumps(tiny_run))
+        run["batched"] = fleet_entry(100.0)
+        baseline = json.loads(json.dumps(tiny_run))
+        baseline["batched"] = fleet_entry(1000.0)
+        deltas = compare_to_baseline(run, baseline)
+        assert "batched" not in deltas
+        ratios = deltas["workloads"]["tiny-gzip-net"]
+        assert ratios["events_per_second_ratio"] == 1.0
+        assert regression_failures(deltas) == []
+        assert "fleet" not in format_bench_table(run, deltas)
+
     def test_table_renders_deltas(self, tiny_run):
         deltas = compare_to_baseline(tiny_run, tiny_run)
         table = format_bench_table(tiny_run, deltas)
@@ -119,12 +143,9 @@ class TestBaselineComparison:
 
 
 class TestBenchCli:
-    # --no-batched keeps CLI tests off the 1024-lane fleet workload;
-    # the fleet record itself is covered by TestBatchedBench below.
     def test_quick_bench_writes_run_file(self, tmp_path, capsys):
         out = tmp_path / "BENCH_run.json"
-        code = cli_main(["bench", "--quick", "--no-batched",
-                         "--out", str(out)])
+        code = cli_main(["bench", "--quick", "--out", str(out)])
         assert code == 0
         run = json.loads(out.read_text())
         assert run["quick"] is True
@@ -140,7 +161,7 @@ class TestBenchCli:
     def test_no_baseline_flag(self, tmp_path):
         out = tmp_path / "BENCH_run.json"
         code = cli_main(["bench", "--quick", "--no-baseline",
-                         "--no-batched", "--out", str(out)])
+                         "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["baseline"] is None
 
@@ -151,148 +172,7 @@ class TestBenchCli:
             record["events_per_second"] *= 1000.0
         baseline_path = tmp_path / "impossible.json"
         baseline_path.write_text(json.dumps(fast))
-        code = cli_main(["bench", "--quick", "--check", "--no-batched",
+        code = cli_main(["bench", "--quick", "--check",
                          "--baseline", str(baseline_path),
                          "--out", str(tmp_path / "run.json")])
         assert code == 1
-
-
-class TestBatchedBench:
-    """The batched-fleet bench records and their baseline comparison."""
-
-    @pytest.fixture(scope="class")
-    def fleet_record(self):
-        from repro.bench import run_batched_bench
-
-        # A small fleet: the record shape and the in-harness identity
-        # assertion are what's under test, not throughput.
-        return run_batched_bench(lanes=8, scale=0.05)
-
-    def test_pinned_fleets(self):
-        from repro.bench import BATCHED_FLEETS
-
-        names = [fleet.name for fleet in BATCHED_FLEETS]
-        assert len(names) == len(set(names))
-        assert "chain-net-fleet" in names
-        assert "mixed-fleet" in names
-        mixed = next(f for f in BATCHED_FLEETS if f.name == "mixed-fleet")
-        # The pinned mixed fleet must keep all three cell shapes: trace
-        # (chain), interp-heavy SPEC, and CFG-region (combined-*).
-        selectors = {g.selector for g in mixed.groups}
-        assert {"net", "combined-net"} <= selectors
-        assert sum(g.lanes for g in mixed.groups) == 128
-        # The tail-dominated pin must actually stream: >= 256 short
-        # divergent lanes, more of them than live slots.
-        tail = next(f for f in BATCHED_FLEETS if f.name == "short-tail-fleet")
-        tail_lanes = sum(g.lanes for g in tail.groups)
-        assert tail_lanes >= 256
-        assert tail.max_lanes is not None and tail.max_lanes < tail_lanes
-        # Divergent finish times: distinct scales across the groups.
-        assert len({g.scale for g in tail.groups}) >= 4
-
-    def test_record_schema(self, fleet_record):
-        assert fleet_record["name"] == "chain-net-fleet"
-        assert fleet_record["lanes"] == 8
-        assert fleet_record["groups"][0]["benchmark"] == "micro:linked_chain"
-        assert fleet_record["identical"] is True
-        assert fleet_record["steps"] > 0
-        assert fleet_record["events_per_second"] > 0
-        assert fleet_record["serial_events_per_second"] > 0
-        assert fleet_record["speedup"] > 0
-        assert fleet_record["backend"] in ("numpy", "python")
-
-    def test_format_renders_one_line(self, fleet_record):
-        from repro.bench import format_batched_record
-
-        line = format_batched_record(fleet_record)
-        assert "batched fleet" in line
-        assert fleet_record["groups"][0]["benchmark"] in line
-        assert "\n" not in line
-
-    def test_baseline_without_batched_record_compares_none(self, tiny_run,
-                                                           fleet_record):
-        run = json.loads(json.dumps(tiny_run))
-        run["batched"] = [fleet_record]
-        deltas = compare_to_baseline(run, tiny_run)
-        assert deltas["batched"] is None
-        assert regression_failures(deltas) == []
-
-    def test_matching_batched_records_compare(self, tiny_run, fleet_record):
-        run = json.loads(json.dumps(tiny_run))
-        run["batched"] = [fleet_record]
-        deltas = compare_to_baseline(run, run)
-        ratios = deltas["batched"]["chain-net-fleet"]
-        assert ratios["events_per_second_ratio"] == 1.0
-
-    def test_fleet_shape_mismatch_compares_none(self, tiny_run,
-                                                fleet_record):
-        run = json.loads(json.dumps(tiny_run))
-        run["batched"] = [fleet_record]
-        other = json.loads(json.dumps(run))
-        other["batched"][0]["groups"][0]["lanes"] = 1024
-        deltas = compare_to_baseline(run, other)
-        assert deltas["batched"] is None
-
-    def test_legacy_single_record_baseline_still_compares(self, tiny_run,
-                                                          fleet_record):
-        # Baselines pinned before the fleet list existed stored one
-        # dict without a groups key; the normalizer upgrades both
-        # sides, so the comparison still lands by name.
-        run = json.loads(json.dumps(tiny_run))
-        run["batched"] = [fleet_record]
-        legacy = json.loads(json.dumps(tiny_run))
-        old = {k: v for k, v in fleet_record.items() if k != "groups"}
-        group = fleet_record["groups"][0]
-        old.update(benchmark=group["benchmark"], selector=group["selector"],
-                   scale=group["scale"])
-        legacy["batched"] = old
-        deltas = compare_to_baseline(run, legacy)
-        ratios = deltas["batched"]["chain-net-fleet"]
-        assert ratios["events_per_second_ratio"] == 1.0
-
-    def test_skipped_batched_stays_schema_consistent(self, tiny_run):
-        # A --no-batched (or numpy-less) run records an empty list, and
-        # a later --check against it must not fail on the missing key —
-        # the regression gate simply has no fleet ratios to score.
-        run = json.loads(json.dumps(tiny_run))
-        run["batched"] = []
-        baseline = json.loads(json.dumps(tiny_run))
-        baseline["batched"] = []
-        deltas = compare_to_baseline(run, baseline)
-        assert deltas["batched"] is None
-        assert regression_failures(deltas) == []
-
-    def test_batched_regression_is_flagged(self, tiny_run, fleet_record):
-        run = json.loads(json.dumps(tiny_run))
-        run["batched"] = [fleet_record]
-        slower = json.loads(json.dumps(run))
-        slower["batched"][0]["events_per_second"] /= 3
-        failures = regression_failures(compare_to_baseline(slower, run))
-        assert any("batched fleet" in failure for failure in failures)
-
-    def test_cli_records_batched_run(self, tmp_path, monkeypatch):
-        # Patch the fleet workloads down to test size; the CLI default
-        # (batched on) must thread the records into the run file.
-        import repro.bench.batch as batch_mod
-
-        real = batch_mod.run_batched_bench
-        monkeypatch.setattr(
-            batch_mod, "run_batched_benches",
-            lambda quick=False, config=None, backend="auto":
-                [real(lanes=4, scale=0.05, quick=quick)],
-        )
-        out = tmp_path / "run.json"
-        code = cli_main(["bench", "--quick", "--no-baseline",
-                         "--out", str(out)])
-        assert code == 0
-        run = json.loads(out.read_text())
-        assert isinstance(run["batched"], list)
-        assert run["batched"][0]["name"] == "chain-net-fleet"
-        assert run["batched"][0]["identical"] is True
-
-    def test_no_batched_records_empty_list(self, tmp_path):
-        out = tmp_path / "run.json"
-        code = cli_main(["bench", "--quick", "--no-baseline",
-                         "--no-batched", "--out", str(out)])
-        assert code == 0
-        assert json.loads(out.read_text())["batched"] == []

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.metrics.summary import MetricReport
+from repro.system.simulator import simulate
 
 
 class TestList:
@@ -89,51 +91,76 @@ class TestCollectReplay:
 
 
 class TestFleet:
-    NARROW = ["fleet", "--benchmarks", "micro:linked_chain,micro:self_loop",
-              "--selectors", "net", "--seeds", "3", "--scale", "0.05",
-              "--max-lanes", "2"]
+    ARGS = ["fleet", "--benchmarks", "micro:linked_chain,micro:self_loop",
+            "--selectors", "net", "--seeds", "3", "--scale", "0.05"]
 
-    def test_streaming_run_prints_queue_progress(self, capsys, fleet_kernel):
-        code = main(self.NARROW + ["--backend", "numpy"])
+    def test_prints_summary_and_one_row_per_cell(self, capsys):
+        code = main(self.ARGS)
         out = capsys.readouterr().out
         assert code == 0
-        assert "queue: 6 cells over 2 slots, 4 refills" in out
-        assert "0 queued" in out  # the last admission drained the queue
+        lines = out.splitlines()
+        assert lines[0].startswith("6 cells: ")
+        assert lines[0].endswith(" events/s)")
+        assert lines[1].split() == ["benchmark", "selector", "seed", "hit%",
+                                    "regions", "transitions"]
+        assert len(lines) == 2 + 6
         assert out.count("micro:linked_chain") == 3
-        assert " rounds)" in out
         assert "fused core" not in out
-
-    def test_narrow_fleet_says_it_ran_on_the_fused_core(self, capsys):
-        from repro.batch.kernel import SCALAR_CUTOVER
-
-        code = main(self.NARROW)
-        out = capsys.readouterr().out
-        assert code == 0
-        assert ("fused core: the cells ran one at a time, because "
-                in out)
-        if "(numpy backend)" in out:
-            assert (f"fewer than {SCALAR_CUTOVER} live lanes can never "
-                    f"fill a vector round") in out
-        else:
-            assert "the python backend has no vector rounds" in out
-        assert "queue: 6 cells over 1 slot, 5 refills" in out
-        assert " rounds)" not in out
-        assert out.count("micro:linked_chain") == 3
-
-    def test_full_width_run_prints_no_queue_line(self, capsys):
-        code = main(["fleet", "--benchmarks", "micro:linked_chain",
-                     "--selectors", "net", "--scale", "0.05"])
-        out = capsys.readouterr().out
-        assert code == 0
         assert "queue:" not in out
 
-    def test_bad_max_lanes_is_a_one_line_error(self, capsys):
-        code = main(["fleet", "--benchmarks", "micro:linked_chain",
-                     "--selectors", "net", "--scale", "0.05",
-                     "--max-lanes", "0"])
+    def test_cell_rows_match_serial_runs(self, capsys):
+        from repro.batch import build_fleet_program
+
+        assert main(self.ARGS) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        for row in rows:
+            bench, selector, seed = row.split()[:3]
+            program = build_fleet_program(bench, 0.05)
+            report = MetricReport.from_result(
+                simulate(program, selector, seed=int(seed)))
+            assert row.split()[3:] == [f"{100 * report.hit_rate:.2f}",
+                                       str(report.region_count),
+                                       str(report.region_transitions)]
+
+    @pytest.mark.parametrize("policy", ["flush", "fifo"])
+    def test_bounded_cache_rows_match_serial_runs(self, capsys, policy):
+        from repro.batch import build_fleet_program
+        from repro.config import SystemConfig
+
+        config = SystemConfig(cache_capacity_bytes=400,
+                              cache_eviction_policy=policy)
+        assert main(["fleet", "--benchmarks", "gzip,bzip2",
+                     "--selectors", "net,lei", "--scale", "0.05",
+                     "--cache-capacity", "400", "--eviction", policy]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 4
+        evictions = 0
+        for row in rows:
+            bench, selector, seed = row.split()[:3]
+            result = simulate(build_fleet_program(bench, 0.05), selector,
+                              config, seed=int(seed))
+            evictions += result.cache_evictions
+            report = MetricReport.from_result(result)
+            assert row.split()[3:] == [f"{100 * report.hit_rate:.2f}",
+                                       str(report.region_count),
+                                       str(report.region_transitions)]
+        assert evictions, "capacity too large to evict"
+
+    @pytest.mark.parametrize("flag", [["--backend", "numpy"],
+                                      ["--max-lanes", "2"]])
+    def test_scheduling_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_duplicate_cell_is_a_one_line_error(self, capsys):
+        code = main(["fleet", "--benchmarks",
+                     "micro:linked_chain,micro:linked_chain",
+                     "--selectors", "net", "--scale", "0.05"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: max_lanes must be >= 1")
+        assert err.startswith("error: duplicate fleet cell")
 
 
 class TestErrorReporting:

@@ -49,32 +49,6 @@ def make_run(eps=1000.0, **overrides):
     }
 
 
-def make_fleet(name="chain-net-fleet", eps=50000.0, **overrides):
-    record = {
-        "name": name,
-        "groups": [{"benchmark": "micro:linked_chain", "selector": "net",
-                    "lanes": 64, "scale": 0.5}],
-        "lanes": 64,
-        "max_lanes": 32,
-        "refills": 32,
-        "backend": "numpy",
-        "rounds": 200,
-        "steps": 100000,
-        "wall_seconds": 2.0,
-        "events_per_second": eps,
-        "speedup": 1.5,
-        "identical": True,
-    }
-    record.update(overrides)
-    return record
-
-
-def make_fleet_run(eps=1000.0, fleet_eps=50000.0, **fleet_overrides):
-    run = make_run(eps=eps)
-    run["batched"] = [make_fleet(eps=fleet_eps, **fleet_overrides)]
-    return run
-
-
 class TestLoadTrajectory:
     def test_single_run_normalizes_to_list(self, tmp_path):
         path = tmp_path / "run.json"
@@ -152,6 +126,26 @@ class TestBaselineVerdicts:
         assert analysis["fingerprint_changes"] == [
             "gzip-net: hit_rate 0.95 -> 0.8"]
 
+    def test_legacy_fleet_records_are_not_scored(self):
+        # Recorded runs may still carry the retired "batched" fleet
+        # list; a fleet at a tenth of its baseline is no alarm, and no
+        # fleet row reaches the report.
+        def with_fleet(run, eps):
+            run["batched"] = [{"name": "mixed-fleet", "backend": "numpy",
+                               "lanes": 128, "max_lanes": 32, "steps": 10,
+                               "events_per_second": eps}]
+            return run
+
+        run = with_fleet(make_run(), 100.0)
+        baseline = with_fleet(make_run(), 1000.0)
+        analysis = analyze_run(run, baseline=baseline,
+                               trajectory=[copy.deepcopy(baseline)] * 5)
+        assert analysis["verdict"] == "ok"
+        assert "batched" not in analysis
+        assert analysis["fingerprint_changes"] == []
+        assert "fleet" not in format_analysis(analysis)
+        assert "fleet" not in format_analysis(analysis, markdown=True)
+
     def test_phase_share_growth_names_the_suspect(self):
         slow = make_run(eps=500.0)
         # All of the extra time lands in cache_walk.
@@ -164,62 +158,6 @@ class TestBaselineVerdicts:
         entry = analysis["workloads"]["gzip-net"]
         assert "cache_walk" in entry["phase_share_growth"]
         assert any("cache_walk" in note for note in entry["notes"])
-
-
-class TestBatchedFleetVerdicts:
-    """Fleet records score by the same rules as workloads."""
-
-    def test_identical_fleet_is_ok(self):
-        run = make_fleet_run()
-        analysis = analyze_run(run, baseline=copy.deepcopy(run))
-        entry = analysis["batched"]["chain-net-fleet"]
-        assert analysis["verdict"] == "ok"
-        assert entry["baseline_ratio"] == 1.0
-        assert entry["notes"] == []
-
-    def test_fleet_regression_is_flagged(self):
-        analysis = analyze_run(make_fleet_run(fleet_eps=20000.0),
-                               baseline=make_fleet_run())
-        entry = analysis["batched"]["chain-net-fleet"]
-        assert analysis["verdict"] == "regression"
-        assert entry["verdict"] == "regression"
-        assert any("40% of baseline" in note for note in entry["notes"])
-
-    def test_recomposed_fleet_is_additive_not_an_alarm(self):
-        """A fleet whose groups changed (re-pinned) compares nothing."""
-        changed = make_fleet_run()
-        changed["batched"][0]["groups"][0]["scale"] = 0.25
-        analysis = analyze_run(changed, baseline=make_fleet_run())
-        entry = analysis["batched"]["chain-net-fleet"]
-        assert entry["baseline_ratio"] is None
-        assert entry["verdict"] == "ok"
-        assert "no comparable baseline fleet" in entry["notes"]
-
-    def test_admission_schedule_change_is_a_fingerprint(self):
-        analysis = analyze_run(
-            make_fleet_run(max_lanes=64, refills=0),
-            baseline=make_fleet_run())
-        assert ("fleet chain-net-fleet: max_lanes 32 -> 64"
-                in analysis["fingerprint_changes"])
-        assert ("fleet chain-net-fleet: refills 32 -> 0"
-                in analysis["fingerprint_changes"])
-
-    def test_fleet_trajectory_drop_is_flagged(self):
-        history = [make_fleet_run(fleet_eps=eps)
-                   for eps in (50000.0, 50200.0, 49800.0, 50100.0)]
-        current = make_fleet_run(fleet_eps=30000.0)
-        analysis = analyze_run(current, trajectory=history + [current])
-        entry = analysis["batched"]["chain-net-fleet"]
-        assert entry["verdict"] in ("warn", "regression")
-        assert any("trailing" in note for note in entry["notes"])
-
-    def test_fleet_rows_render_in_the_report(self):
-        run = make_fleet_run()
-        analysis = analyze_run(run, baseline=copy.deepcopy(run))
-        text = format_analysis(analysis)
-        assert "fleet:chain-net-fleet" in text
-        markdown = format_analysis(analysis, markdown=True)
-        assert "| fleet:chain-net-fleet |" in markdown
 
 
 class TestTrajectoryVerdicts:
