@@ -190,19 +190,20 @@ def run_fleet(
             obs.event("fleet_refill", 0, **coords, slot=0, settled=index,
                       queued=total - index - 1, active=1)
         key = (cell.benchmark, cell.scale)
-        program = programs.get(key)
-        if program is None:
-            program = programs[key] = build_fleet_program(*key)
         uses[key] -= 1
-        if not uses[key]:
-            del programs[key]
-        # A plain serial run with the null observer: the report is the
-        # serial oracle's by construction, and an error carries the
-        # context the simulator attaches (benchmark, selector, step).
-        engine = ExecutionEngine(program, seed=cell.seed,
-                                 max_steps=max_steps)
-        simulator = Simulator(program, cell.selector, config)
         try:
+            # Building the program or the selector fails for an unknown
+            # benchmark or selector: that cell's failure, like a run's.
+            program = programs.get(key)
+            if program is None:
+                program = programs[key] = build_fleet_program(*key)
+            # A plain serial run with the null observer: the report is
+            # the serial oracle's by construction, and an error carries
+            # the context the simulator attaches (benchmark, selector,
+            # step).
+            engine = ExecutionEngine(program, seed=cell.seed,
+                                     max_steps=max_steps)
+            simulator = Simulator(program, cell.selector, config)
             result = simulator.run_program(engine)
         except ReproError as exc:
             if on_error == "raise":
@@ -211,6 +212,9 @@ def run_fleet(
             fleet.errors += 1
             obs.event("fleet_lane_failed", 0, **coords, error=str(exc))
             continue
+        finally:
+            if not uses[key]:
+                programs.pop(key, None)
         fleet.reports[cell] = MetricReport.from_result(result)
         fleet.results[cell] = result
         fleet.steps += engine.steps_executed

@@ -39,6 +39,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.config import SystemConfig
+from repro.errors import ReproError
 from repro.execution.engine import ExecutionEngine
 from repro.metrics.summary import MetricReport
 from repro.program.dot import program_to_dot
@@ -400,7 +401,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     what ``repro run`` prints for it.
     """
     from repro.batch import BatchCell, run_fleet
-    from repro.errors import ConfigError
 
     benchmarks = (args.benchmarks.split(",") if args.benchmarks
                   else list(benchmark_names()))
@@ -414,7 +414,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     ]
     try:
         fleet = run_fleet(cells, config=_config_from(args))
-    except ConfigError as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{fleet.lanes} cells: {fleet.steps:,} events in "

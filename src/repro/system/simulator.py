@@ -23,10 +23,12 @@ flush or FIFO eviction (an explicit extension of the paper's setting).
 Two loop bodies run that state machine.  The reference one is a
 single ``consume(block, taken, target)`` callback, fed by pull
 (:meth:`Simulator.run` over a step iterable) or by push
-(:meth:`Simulator.run_push`, e.g. trace replay); it is the oracle.
-The fused one (:meth:`Simulator.run_program`) inlines live execution
-and compiled region walks into one frame for speed.  Both produce
-bit-identical results (``tests/test_fast_path.py``).
+(:meth:`Simulator.run_push`); it is the oracle.  The fused one
+(:meth:`Simulator.run_program`) inlines an engine's decisions and
+compiled region walks into one frame for speed; a version-2 trace
+replay through :meth:`Simulator.run_push` is handed to it too, with
+the trace as the engine.  Both produce bit-identical results
+(``tests/test_fast_path.py``).
 
 Observability
 -------------
@@ -189,11 +191,18 @@ class Simulator:
         called once with a ``consume(block, taken, target)`` callback
         and must invoke it for every step in order (e.g.
         :meth:`ExecutionEngine.run_into
-        <repro.execution.engine.ExecutionEngine.run_into>` or
-        :func:`repro.tracing.replay_trace_into` via ``partial``), so a
-        replay runs with no generator suspension.  Results are
+        <repro.execution.engine.ExecutionEngine.run_into>`), so the
+        stream arrives with no generator suspension.
+
+        ``consume`` carries one attribute, ``consume.run_engine(engine)``:
+        instead of calling ``consume`` at all, a producer may hand the
+        whole run to the fused core, as :meth:`run_program` would run
+        ``engine``, and get its step count back.  Only
+        :func:`repro.tracing.replay_trace_into` does, for a version-2
+        trace, whose decisions form an engine
+        (:class:`~repro.tracing.decoder.TraceSource`).  Results are
         bit-identical to :meth:`run` over the equivalent stream and to
-        the fused :meth:`run_program`.
+        :meth:`run_program` either way.
         """
         return self._execute(
             lambda stats, edge_profile, step_hooks, events_on, prof:
@@ -213,16 +222,20 @@ class Simulator:
         if engine is None:
             engine = ExecutionEngine(self.program, seed=seed,
                                      max_steps=max_steps)
-        elif engine.program is not self.program:
-            raise ReproError(
-                f"engine runs program {engine.program.name!r} but the "
-                f"simulator was built for {self.program.name!r}"
-            )
+        else:
+            self._check_engine(engine)
         return self._execute(
             lambda stats, edge_profile, step_hooks, events_on, prof:
             self._run_fused(engine, stats, edge_profile, step_hooks,
                             events_on, prof)
         )
+
+    def _check_engine(self, engine: ExecutionEngine) -> None:
+        if engine.program is not self.program:
+            raise ReproError(
+                f"engine runs program {engine.program.name!r} but the "
+                f"simulator was built for {self.program.name!r}"
+            )
 
     def _execute(self, loop) -> RunResult:
         """Shared run scaffolding around the reference state machine
@@ -260,6 +273,10 @@ class Simulator:
             obs.emit("run_started", 0, config_cache_capacity=(
                 self.config.cache_capacity_bytes))
         try:
+            # Entered once here, not by the loops: a push run handed to
+            # the fused core must not enter it twice.
+            if prof is not None:
+                prof.enter("interpret")
             step_index = loop(
                 stats, edge_profile, step_hooks, events_on, prof
             )
@@ -501,8 +518,19 @@ class Simulator:
                         order=installed.selection_order,
                     )
 
-        if prof is not None:
-            prof.enter("interpret")
+        def run_engine(engine: ExecutionEngine) -> int:
+            # The fused-core handoff (see run_push): the whole run, or
+            # nothing of it, goes to _run_fused.
+            nonlocal step_index
+            if step_index:
+                raise ReproError(
+                    "run_engine must be called before any consume() call")
+            self._check_engine(engine)
+            step_index = self._run_fused(engine, stats, edge_profile,
+                                         step_hooks, events_on, prof)
+            return step_index
+
+        consume.run_engine = run_engine
         producer(consume)
         return step_index
 
@@ -515,12 +543,15 @@ class Simulator:
         events_on: bool,
         prof,
     ) -> int:
-        """The fully fused live loop: engine + simulator in one frame.
+        """The fully fused loop: engine + simulator in one frame.
 
-        :meth:`run_program`'s loop body.  Where the reference state
-        machine pays one consumer call per step, this loop inlines the
-        engine's block-decision dispatch *and* the simulator's per-step
-        logic into a single ``while`` over compiled *walk tables*
+        :meth:`run_program`'s loop body, and a version-2 trace
+        replay's (``engine`` is then a
+        :class:`~repro.tracing.decoder.TraceSource`).  Where the
+        reference state machine pays one consumer call per step, this
+        loop inlines the engine's block-decision dispatch *and* the
+        simulator's per-step logic into a single ``while`` over
+        compiled *walk tables*
         (:mod:`repro.cache.dispatch`): every region install compiles a
         flat per-position table — pre-bound decision closure,
         instruction count, layout offsets, patched trace links — so a
@@ -649,8 +680,6 @@ class Simulator:
         cur_blocks: FrozenSet[BasicBlock] = frozenset()
         cur_entry: Optional[BasicBlock] = None
 
-        if profiled:
-            prof.enter("interpret")
         try:
             while block is not None and steps < max_steps:
                 if region is None:

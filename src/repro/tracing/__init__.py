@@ -4,14 +4,26 @@ The paper collects basic-block traces of SPECint2000 with Pin and feeds
 them to the region-selection simulator.  We provide the same decoupling:
 
 * :func:`~repro.tracing.collector.collect_trace` runs an execution
-  engine and writes its step stream to a compact binary ``.rtrc`` file;
+  engine and writes a compact binary ``.rtrc`` file (version 2, in the
+  spirit of the paper's Figure 14): one direction bit per executed
+  conditional branch and one block id per executed indirect target;
+  every other transfer follows from the program and its call stack
+  (layout in :mod:`repro.tracing.records`);
 * :func:`~repro.tracing.collector.replay_trace` re-yields the identical
-  :class:`~repro.execution.Step` stream from the file;
+  :class:`~repro.execution.Step` stream from the file — fed to
+  :meth:`Simulator.run <repro.system.simulator.Simulator.run>`, it
+  replays on the reference state machine;
 * :func:`~repro.tracing.collector.replay_trace_into` pushes the same
-  stream into a ``consumer(block, taken, target)`` callback — the
-  allocation-free twin that feeds the simulator's reference state
-  machine by push
-  (:meth:`Simulator.run_push <repro.system.simulator.Simulator.run_push>`).
+  stream into a ``consumer(block, taken, target)`` callback.  Given
+  the ``consume`` of :meth:`Simulator.run_push
+  <repro.system.simulator.Simulator.run_push>`, a version-2 trace runs
+  on the simulator's fused core instead, as a
+  :class:`~repro.tracing.decoder.TraceSource` engine whose decisions
+  come from the trace.
+
+Version-1 traces (one record per step) are still read, always through
+:meth:`TraceReader.steps <repro.tracing.decoder.TraceReader.steps>` and
+the reference state machine.
 
 Because the simulator accepts any step stream, pulled or pushed,
 experiments can be run live (engine → simulator) or in the classic
@@ -23,7 +35,7 @@ of the framework").
 
 from repro.tracing.records import TraceHeader
 from repro.tracing.encoder import TraceWriter
-from repro.tracing.decoder import TraceReader
+from repro.tracing.decoder import TraceReader, TraceSource
 from repro.tracing.collector import (
     collect_trace,
     replay_trace,
@@ -36,6 +48,7 @@ __all__ = [
     "TraceHeader",
     "TraceWriter",
     "TraceReader",
+    "TraceSource",
     "collect_trace",
     "replay_trace",
     "replay_trace_into",

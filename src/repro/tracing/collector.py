@@ -18,10 +18,13 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 
 def collect_trace(engine: ExecutionEngine, path: PathLike) -> int:
-    """Run ``engine`` to completion, recording its steps to ``path``.
+    """Run ``engine`` to completion, recording a version-2 trace to
+    ``path``.
 
-    Returns the number of steps written.  This is the analogue of the
-    paper's Pin-based collection pass.
+    Returns the number of steps recorded.  This is the analogue of the
+    paper's Pin-based collection pass; the file keeps one direction bit
+    per executed conditional and one block id per executed indirect
+    target (:mod:`repro.tracing.records`).
     """
     header = TraceHeader(
         program_name=engine.program.name,
@@ -38,7 +41,12 @@ def collect_trace(engine: ExecutionEngine, path: PathLike) -> int:
 
 
 def replay_trace(path: PathLike, program: Program) -> Iterator[Step]:
-    """Yield the recorded step stream of ``path`` against ``program``."""
+    """Yield the recorded step stream of ``path`` against ``program``.
+
+    Feeding it to :meth:`Simulator.run
+    <repro.system.simulator.Simulator.run>` replays any trace, either
+    version, on the reference state machine.
+    """
     with open(path, "rb") as fh:
         reader = TraceReader(fh, program)
         yield from reader.steps()
@@ -51,21 +59,41 @@ def replay_trace_into(
 ) -> int:
     """Push the recorded stream of ``path`` into ``consumer``.
 
-    The push twin of :func:`replay_trace`: pair it with
-    :meth:`Simulator.run_push
-    <repro.system.simulator.Simulator.run_push>` to replay a collected
-    trace into the reference state machine with no generator
-    suspension and no :class:`Step` allocation in the decoder —
+    The push twin of :func:`replay_trace`.  Paired with
+    :meth:`Simulator.run_push <repro.system.simulator.Simulator.run_push>`
+    it replays a collected trace with no generator suspension —
 
     >>> simulator.run_push(
     ...     lambda consume: replay_trace_into(path, program, consume)
     ... )                                                 # doctest: +SKIP
 
+    A version-2 trace becomes a
+    :class:`~repro.tracing.decoder.TraceSource`.  When ``consumer`` is
+    the simulator's ``consume``, the source is handed to its
+    ``run_engine`` attribute and the replay runs on the fused core;
+    any other consumer is called once per step.  Either way the run
+    must consume the trace exactly, or a
+    :class:`~repro.errors.TraceFormatError` is raised.  A version-1
+    trace is pushed record by record.
+
     Returns the number of steps replayed.
     """
     with open(path, "rb") as fh:
         reader = TraceReader(fh, program)
-        return reader.steps_into(consumer)
+        if reader.header.version == 1:
+            count = 0
+            for step in reader.steps():
+                consumer(step.block, step.taken, step.target)
+                count += 1
+            return count
+        source = reader.source()
+    run_engine = getattr(consumer, "run_engine", None)
+    if run_engine is not None:
+        steps = run_engine(source)
+    else:
+        steps = source.run_into(consumer)
+    source.finish(steps)
+    return steps
 
 
 def trace_header(path: PathLike) -> TraceHeader:

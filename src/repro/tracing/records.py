@@ -1,17 +1,39 @@
 """On-disk record formats for the binary trace format.
 
-Layout (little-endian throughout):
+Every trace starts with the same header (little-endian throughout):
+magic ``b"RTRC"``, version ``u16``, name length ``u16``, UTF-8 program
+name, block count ``u32``, seed ``u64``.
 
-* header: magic ``b"RTRC"``, version ``u16``, name length ``u16``,
-  UTF-8 program name, block count ``u32``, seed ``u64``.
-* one record per step: block id ``u32``, flags ``u8``
-  (bit 0 = taken, bit 1 = has target), and when bit 1 is set the
-  target block id ``u32``.
+**Version 2** (what :func:`~repro.tracing.collector.collect_trace`
+writes) stores only the outcomes the program cannot supply, in the
+spirit of the paper's Figure 14:
+
+* counts: steps ``u64``, conditional outcomes ``u64``, indirect
+  targets ``u64``;
+* one direction bit per executed conditional branch, in execution
+  order, packed least significant bit first (bit ``i`` is bit
+  ``i % 8`` of byte ``i // 8``; ``1`` = taken), padded with zero bits
+  to a whole byte;
+* the block id (``u32``) of each executed indirect jump's target, in
+  execution order.
+
+Every other transfer is implied: a jump, fall-through or halt by the
+program, a call by the program plus the call stack it pushes, a return
+by that stack.  So replay walks the program from its entry and reads
+the next recorded outcome only at conditionals and indirect jumps; it
+stops after the recorded step count, which also covers a collection
+that stopped at its step budget.  The format needs no knowledge of
+branch models: every executed conditional has a bit, whatever its
+model.
+
+**Version 1** (read only) has one record per step: block id ``u32``,
+flags ``u8`` (bit 0 = taken, bit 1 = has target), and when bit 1 is set
+the target block id ``u32``.
 
 Block ids are the dense ids assigned by program finalization, so a
 trace file is only meaningful together with the program that produced
-it; the header's block count is a cheap consistency check for that
-pairing.
+it; the header's name and block count are a cheap consistency check for
+that pairing.
 """
 
 from __future__ import annotations
@@ -22,31 +44,42 @@ from dataclasses import dataclass
 from repro.errors import TraceFormatError
 
 MAGIC = b"RTRC"
-VERSION = 1
+#: The version :class:`~repro.tracing.encoder.TraceWriter` writes.
+VERSION = 2
+#: Versions :class:`~repro.tracing.decoder.TraceReader` reads.
+READABLE_VERSIONS = (1, 2)
 
 _HEADER_FIXED = struct.Struct("<4sHH")
 _HEADER_TAIL = struct.Struct("<IQ")
+
+# Version 1: one record per step.
 RECORD_HEAD = struct.Struct("<IB")
 RECORD_TARGET = struct.Struct("<I")
 
 FLAG_TAKEN = 0x01
 FLAG_HAS_TARGET = 0x02
 
+# Version 2: the counts that open the body.
+COUNTS = struct.Struct("<QQQ")
+#: Bytes per recorded indirect target id.
+TARGET_BYTES = 4
+
 
 @dataclass(frozen=True)
 class TraceHeader:
-    """Identifies the program a trace belongs to."""
+    """Identifies the program a trace belongs to, and its format."""
 
     program_name: str
     block_count: int
     seed: int
+    version: int = VERSION
 
     def encode(self) -> bytes:
         name_bytes = self.program_name.encode("utf-8")
         if len(name_bytes) > 0xFFFF:
             raise TraceFormatError("program name too long for trace header")
         return (
-            _HEADER_FIXED.pack(MAGIC, VERSION, len(name_bytes))
+            _HEADER_FIXED.pack(MAGIC, self.version, len(name_bytes))
             + name_bytes
             + _HEADER_TAIL.pack(self.block_count, self.seed)
         )
@@ -59,7 +92,7 @@ class TraceHeader:
         magic, version, name_length = _HEADER_FIXED.unpack(fixed)
         if magic != MAGIC:
             raise TraceFormatError(f"bad trace magic {magic!r}")
-        if version != VERSION:
+        if version not in READABLE_VERSIONS:
             raise TraceFormatError(f"unsupported trace version {version}")
         name_bytes = stream.read(name_length)
         if len(name_bytes) != name_length:
@@ -68,4 +101,4 @@ class TraceHeader:
         if len(tail) != _HEADER_TAIL.size:
             raise TraceFormatError("truncated trace header tail")
         block_count, seed = _HEADER_TAIL.unpack(tail)
-        return cls(name_bytes.decode("utf-8"), block_count, seed)
+        return cls(name_bytes.decode("utf-8"), block_count, seed, version)

@@ -20,7 +20,12 @@ from repro.batch import (
 )
 from repro.batch import fleet as fleet_mod
 from repro.config import SystemConfig
-from repro.errors import ConfigError, ExecutionError
+from repro.errors import (
+    ConfigError,
+    ExecutionError,
+    ProgramStructureError,
+    SelectionError,
+)
 from repro.execution.engine import ExecutionEngine
 from repro.metrics.summary import MetricReport
 from repro.obs import CollectingSink, Observer
@@ -663,3 +668,68 @@ class TestErrorContainment:
         assert len(finished) == 1
         assert finished[0].get("errors") == len(cells)
         assert len(sink.by_kind("fleet_lane_failed")) == len(cells)
+
+
+#: Cells that cannot even be built: an unknown selector on a program
+#: the stream's first cell shares, and an unknown benchmark.
+UNBUILDABLE = {
+    "selector": (BatchCell("micro:linked_chain", "bogus", scale=0.1, seed=1),
+                 SelectionError),
+    "benchmark": (BatchCell("spice", "net", scale=0.1, seed=1),
+                  ProgramStructureError),
+}
+
+
+class TestUnbuildableCells:
+    """A cell whose program or selector cannot be built fails like a
+    cell whose run fails: ``"continue"`` settles it in its place and
+    runs the cells around it, ``"raise"`` aborts there."""
+
+    @staticmethod
+    def queue(bad, position):
+        return {
+            "first": (bad,) + STREAM,
+            "middle": STREAM[:2] + (bad,) + STREAM[2:],
+            "last": STREAM + (bad,),
+        }[position]
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", sorted(UNBUILDABLE))
+    def test_continue_contains_it(self, built_programs, kind, position):
+        bad, error = UNBUILDABLE[kind]
+        cells = self.queue(bad, position)
+        fleet, sink = run_observed(cells, on_error="continue")
+        assert list(fleet.failures) == [bad]
+        assert isinstance(fleet.failures[bad], error)
+        assert fleet.errors == 1
+        assert set(fleet.reports) == set(STREAM)
+        for cell in STREAM:
+            assert fleet.reports[cell] == serial_report(cell)
+        settled = [(e.kind, e.get("benchmark"), e.get("selector"))
+                   for e in sink.events
+                   if e.kind in ("fleet_lane_finished", "fleet_lane_failed")]
+        assert settled == [
+            ("fleet_lane_failed" if cell == bad else "fleet_lane_finished",
+             cell.benchmark, cell.selector)
+            for cell in cells]
+        failed = sink.by_kind("fleet_lane_failed")[0]
+        assert failed.get("error") == str(fleet.failures[bad])
+        assert sink.by_kind("fleet_finished")[0].get("errors") == 1
+        # Every program is built once, shared ones included.
+        assert sorted(built_programs) == sorted(
+            {(cell.benchmark, cell.scale) for cell in cells})
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", sorted(UNBUILDABLE))
+    def test_raise_aborts_at_it(self, kind, position):
+        bad, error = UNBUILDABLE[kind]
+        cells = self.queue(bad, position)
+        sink = CollectingSink(categories=("fleet",))
+        with pytest.raises(error):
+            run_fleet(cells, observer=Observer(sink=sink))
+        ahead = cells[:cells.index(bad)]
+        assert ([(e.get("benchmark"), e.get("selector"))
+                 for e in sink.by_kind("fleet_lane_finished")]
+                == [(c.benchmark, c.selector) for c in ahead])
+        assert sink.by_kind("fleet_lane_failed") == []
+        assert sink.by_kind("fleet_finished") == []

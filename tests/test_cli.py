@@ -162,6 +162,20 @@ class TestFleet:
         assert code == 2
         assert err.startswith("error: duplicate fleet cell")
 
+    @pytest.mark.parametrize("cells, message", [
+        (["--benchmarks", "gzip", "--selectors", "net,bogus"],
+         "unknown selector 'bogus'"),
+        (["--benchmarks", "spice", "--selectors", "net"],
+         "unknown benchmark 'spice'"),
+    ])
+    def test_unknown_cell_is_a_one_line_error(self, capsys, cells, message):
+        code = main(["fleet", *cells, "--scale", "0.05"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: " + message), captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestErrorReporting:
     """Missing inputs fail with a one-line error, never a traceback."""
@@ -197,7 +211,7 @@ class TestErrorReporting:
         prefix = tmp_path / "prefix.rtrc"
         prefix.write_bytes(trace.read_bytes()[:100])
         code = main(["replay", str(prefix), "net", "--scale", "0.05"])
-        self._assert_one_line_error(capsys, code, "trailing bytes")
+        self._assert_one_line_error(capsys, code, "truncated trace body")
 
     def test_replay_garbage_file(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.rtrc"

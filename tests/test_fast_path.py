@@ -8,16 +8,20 @@ selector) cell the fused loop and both feeds of the reference must
 agree *bit for bit* — metric report, raw run statistics, edge profile,
 selector diagnostics and timeline samples.
 
-The trace codec gets the same treatment: the push-mode writer/decoder
-pair (``TraceWriter.write`` / ``TraceReader.steps_into``) must agree
-byte-for-byte and step-for-step with the Step-based reference methods,
-including on hypothesis-generated record streams and on malformed
-input.
+Replay is held to the same standard: a collected trace replayed
+pulled (the reference state machine) and pushed (the fused core) must
+equal the live run.  The trace codec too: collection through the raw
+``TraceWriter.write`` must write the bytes the Step-based
+``write_step`` writes, the version-1 parser must decode
+hypothesis-generated and malformed record streams the same pulled and
+pushed, and version-2 direction bits pack least significant bit first.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,7 +43,13 @@ from repro.tracing import (
     replay_trace,
     replay_trace_into,
 )
-from repro.tracing.records import RECORD_HEAD
+from repro.tracing.encoder import pack_bits
+from repro.tracing.records import (
+    FLAG_HAS_TARGET,
+    FLAG_TAKEN,
+    RECORD_HEAD,
+    RECORD_TARGET,
+)
 from repro.workloads import build_benchmark
 
 ALL_SELECTORS = SELECTOR_NAMES + RELATED_SELECTOR_NAMES
@@ -160,8 +170,18 @@ class TestLinkingIdentity:
         assert resident_inter_region_links(result) == inter_region_links(result)
 
 
+@pytest.fixture(scope="module")
+def gzip_trace(programs, tmp_path_factory):
+    """gzip's seed-0 trace, collected once: (path, steps written)."""
+    trace = tmp_path_factory.mktemp("replay") / "trace.rtrc"
+    written = collect_trace(ExecutionEngine(programs["gzip"], seed=0),
+                            trace)
+    return trace, written
+
+
 class TestReplayMatchesLive:
-    """Replay, pulled or pushed, into unbounded and evicting caches.
+    """Replay, pulled (the reference state machine) or pushed (the
+    fused core), into unbounded and evicting caches.
 
     Capacity 300 evicts for every selector on gzip at this scale (see
     :class:`TestBoundedCacheIdentity`); asserted here too.
@@ -174,14 +194,6 @@ class TestReplayMatchesLive:
         "bounded-flush": SystemConfig(cache_capacity_bytes=300,
                                       cache_eviction_policy="flush"),
     }
-
-    @pytest.fixture(scope="class")
-    def gzip_trace(self, programs, tmp_path_factory):
-        """gzip's seed-0 trace, collected once: (path, steps written)."""
-        trace = tmp_path_factory.mktemp("replay") / "trace.rtrc"
-        written = collect_trace(ExecutionEngine(programs["gzip"], seed=0),
-                                trace)
-        return trace, written
 
     @pytest.mark.parametrize("config_name", sorted(CONFIGS))
     @pytest.mark.parametrize("selector", ALL_SELECTORS)
@@ -220,6 +232,109 @@ class TestReplayMatchesLive:
         assert fast_file.read_bytes() == ref_file.read_bytes()
 
 
+@pytest.fixture
+def fused_runs(monkeypatch):
+    """Count the runs that reach the fused loop."""
+    runs = []
+    orig = Simulator._run_fused
+
+    def counting(self, engine, *args):
+        runs.append(type(engine).__name__)
+        return orig(self, engine, *args)
+
+    monkeypatch.setattr(Simulator, "_run_fused", counting)
+    return runs
+
+
+class TestReplayHandoff:
+    """``consume.run_engine``: what reaches the fused core, and what
+    stays on the reference state machine."""
+
+    def test_pushed_replay_runs_on_the_fused_core(self, programs,
+                                                  gzip_trace, fused_runs):
+        trace, written = gzip_trace
+        program = programs["gzip"]
+        result = Simulator(program, "net").run_push(
+            lambda consume: replay_trace_into(trace, program, consume))
+        assert fused_runs == ["TraceSource"]
+        assert result.stats.interp_steps + result.stats.cache_steps == written
+
+    def test_reference_paths_stay_on_the_state_machine(self, programs,
+                                                       gzip_trace,
+                                                       fused_runs):
+        trace, _ = gzip_trace
+        program = programs["gzip"]
+        Simulator(program, "net").run(replay_trace(trace, program))
+        Simulator(program, "net").run_push(
+            ExecutionEngine(program, seed=0).run_into)
+        assert fused_runs == []
+
+    def test_handoff_after_consume_is_refused(self, programs, gzip_trace):
+        from repro.errors import ReproError
+
+        trace, _ = gzip_trace
+        program = programs["gzip"]
+
+        def producer(consume):
+            consume(program.entry, False, program.entry.fallthrough)
+            replay_trace_into(trace, program, consume)
+
+        with pytest.raises(ReproError, match="before any consume"):
+            Simulator(program, "net").run_push(producer)
+
+    def test_handoff_refuses_another_programs_engine(self, programs,
+                                                     gzip_trace):
+        from repro.errors import ReproError
+
+        trace, _ = gzip_trace
+        with pytest.raises(ReproError, match="simulator was built for"):
+            Simulator(programs["mcf"], "net").run_push(
+                lambda consume: replay_trace_into(
+                    trace, programs["gzip"], consume))
+
+
+class TestReplayObservability:
+    """A fused replay looks exactly like the reference replay to every
+    observability pillar: events, metrics and span entries per phase."""
+
+    @staticmethod
+    def _observe(run):
+        from repro.obs import CollectingSink, MetricsRegistry, Observer
+        from repro.obs import SpanTimer
+
+        sink = CollectingSink()
+        timer = SpanTimer()
+        result = run(Observer(metrics=MetricsRegistry(), sink=sink,
+                              profiler=timer))
+        events = [(e.kind, e.step, e.fields) for e in sink.events]
+        entries = {name: phase["entries"]
+                   for name, phase in timer.snapshot()["phases"].items()}
+        return events, result.metrics, entries
+
+    @pytest.mark.parametrize("capacity", [None, 300])
+    @pytest.mark.parametrize("selector", SELECTOR_NAMES)
+    def test_fused_replay_observes_like_the_reference(
+            self, programs, gzip_trace, selector, capacity):
+        trace, _ = gzip_trace
+        program = programs["gzip"]
+        config = SystemConfig(cache_capacity_bytes=capacity,
+                              cache_eviction_policy="fifo")
+        reference = self._observe(
+            lambda obs: Simulator(program, selector, config, observer=obs)
+            .run(replay_trace(trace, program)))
+        fused = self._observe(
+            lambda obs: Simulator(program, selector, config, observer=obs)
+            .run_push(lambda consume: replay_trace_into(trace, program,
+                                                        consume)))
+        kinds = [kind for kind, _, _ in reference[0]]
+        if capacity is not None:
+            assert "cache_evicted" in kinds
+        assert fused[0] == reference[0]
+        assert fused[1] == reference[1]
+        assert fused[2] == reference[2]
+        assert reference[2]["interpret"] >= 1
+
+
 # -- trace codec properties ---------------------------------------------
 
 def _codec_program():
@@ -242,17 +357,38 @@ _record = st.tuples(
 )
 
 
-def _encode(records) -> bytes:
-    buf = io.BytesIO()
-    header = TraceHeader(_CODEC_PROGRAM.name, _CODEC_PROGRAM.block_count, 0)
-    with TraceWriter(buf, header) as writer:
-        for block_id, taken, target_id in records:
-            writer.write(
-                _CODEC_BLOCKS[block_id],
-                taken,
-                None if target_id is None else _CODEC_BLOCKS[target_id],
-            )
-    return buf.getvalue()
+def _encode_v1(records) -> bytes:
+    """A version-1 trace of raw ``(block id, taken, target id)`` records."""
+    data = bytearray(TraceHeader(_CODEC_PROGRAM.name,
+                                 _CODEC_PROGRAM.block_count, 0,
+                                 version=1).encode())
+    for block_id, taken, target_id in records:
+        flags = FLAG_TAKEN if taken else 0
+        if target_id is None:
+            data += RECORD_HEAD.pack(block_id, flags)
+        else:
+            data += RECORD_HEAD.pack(block_id, flags | FLAG_HAS_TARGET)
+            data += RECORD_TARGET.pack(target_id)
+    return bytes(data)
+
+
+def _pulled(data: bytes):
+    """Decode through ``TraceReader.steps`` (the pull face)."""
+    steps = TraceReader(io.BytesIO(data), _CODEC_PROGRAM).steps()
+    return [(s.block, s.taken, s.target) for s in steps]
+
+
+def _pushed(data: bytes):
+    """Decode through ``replay_trace_into`` (the push face)."""
+    pushed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "codec.rtrc")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        count = replay_trace_into(
+            path, _CODEC_PROGRAM, lambda *step: pushed.append(step))
+    assert count == len(pushed)
+    return pushed
 
 
 class TestTraceCodec:
@@ -268,48 +404,36 @@ class TestTraceCodec:
             )
             for block_id, taken, target_id in records
         ]
-        data = _encode(records)
+        data = _encode_v1(records)
+        assert _pulled(data) == expected
+        assert _pushed(data) == expected
 
-        pulled = TraceReader(io.BytesIO(data), _CODEC_PROGRAM).steps()
-        assert [(s.block, s.taken, s.target) for s in pulled] == expected
-
-        pushed = []
-        decoded = TraceReader(io.BytesIO(data), _CODEC_PROGRAM).steps_into(
-            lambda block, taken, target: pushed.append((block, taken, target))
-        )
-        assert decoded == len(records)
-        assert pushed == expected
-
-    def test_trailing_bytes_rejected_by_both_decoders(self):
-        data = _encode([(0, True, 1), (1, False, None)]) + b"\x7f"
+    @pytest.mark.parametrize("decode", [_pulled, _pushed])
+    def test_trailing_bytes_rejected_pulled_and_pushed(self, decode):
+        data = _encode_v1([(0, True, 1), (1, False, None)]) + b"\x7f"
         with pytest.raises(TraceFormatError, match="trailing bytes"):
-            list(TraceReader(io.BytesIO(data), _CODEC_PROGRAM).steps())
-        with pytest.raises(TraceFormatError, match="trailing bytes"):
-            TraceReader(io.BytesIO(data), _CODEC_PROGRAM).steps_into(
-                lambda *step: None
-            )
+            decode(data)
 
-    def test_truncated_target_rejected_by_both_decoders(self):
-        data = _encode([(0, True, 1)])
+    @pytest.mark.parametrize("decode", [_pulled, _pushed])
+    def test_truncated_target_rejected_pulled_and_pushed(self, decode):
+        data = _encode_v1([(0, True, 1)])
         data = data[:-2]  # cut into the final target record
         with pytest.raises(TraceFormatError, match="truncated target"):
-            list(TraceReader(io.BytesIO(data), _CODEC_PROGRAM).steps())
-        with pytest.raises(TraceFormatError, match="truncated target"):
-            TraceReader(io.BytesIO(data), _CODEC_PROGRAM).steps_into(
-                lambda *step: None
-            )
+            decode(data)
 
-    def test_out_of_range_block_id_rejected_by_both_decoders(self):
-        header = TraceHeader(
-            _CODEC_PROGRAM.name, _CODEC_PROGRAM.block_count, 0
-        ).encode()
-        data = header + RECORD_HEAD.pack(99, 0)
+    @pytest.mark.parametrize("decode", [_pulled, _pushed])
+    def test_out_of_range_block_id_rejected_pulled_and_pushed(self, decode):
         with pytest.raises(TraceFormatError, match="out of range"):
-            list(TraceReader(io.BytesIO(data), _CODEC_PROGRAM).steps())
-        with pytest.raises(TraceFormatError, match="out of range"):
-            TraceReader(io.BytesIO(data), _CODEC_PROGRAM).steps_into(
-                lambda *step: None
-            )
+            decode(_encode_v1([(99, False, None)]))
+
+    @given(bits=st.lists(st.booleans(), max_size=300))
+    @settings(max_examples=60, deadline=None)
+    def test_direction_bits_pack_least_significant_first(self, bits):
+        packed = pack_bits(bytearray(bits))
+        assert len(packed) == (len(bits) + 7) // 8
+        # Bit i is bit i % 8 of byte i // 8; padding bits are zero.
+        assert int.from_bytes(packed, "little") == sum(
+            1 << i for i, bit in enumerate(bits) if bit)
 
     def test_writer_rejects_use_after_close(self):
         buf = io.BytesIO()

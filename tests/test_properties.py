@@ -31,21 +31,64 @@ from repro.workloads.motifs import MotifContext
 SELECTORS = ("net", "lei", "combined-net", "combined-lei")
 
 
+#: main's motifs.  The call motifs come first, the value examples
+#: shrink towards, and are listed twice each, so that about half of
+#: the generated programs call a procedure and return from it.
+MOTIFS = ("call", "call_loop") * 2 + (
+    "hot", "nested", "branchy", "diamond", "switch", "retry", "once",
+    "phase", "cold_init")
+
+
 @st.composite
 def small_programs(draw):
-    """A random, valid, halting program built from motifs."""
+    """A random, valid, halting program built from motifs.
+
+    One or two callees, leaf procedures or recursions at most six deep,
+    are declared before ``main`` (backward calls, as in the paper's
+    Figure 2) or after it (forward calls); ``main`` runs an outer loop
+    over one to three motifs, which may call them once or from a loop.
+    """
     pb = ProgramBuilder("prop", entry="main")
     ctx = MotifContext(pb, SplitMix64(draw(st.integers(0, 2**31))))
+
+    def declare(kind):
+        name = ctx.fresh("proc")
+        if kind == "leaf":
+            return motifs.leaf_procedure(ctx, name,
+                                         blocks=draw(st.integers(1, 3)),
+                                         insts=draw(st.integers(1, 5)))
+        return motifs.recursive_procedure(ctx, name,
+                                          depth=draw(st.integers(1, 6)))
+
+    placements = draw(st.lists(
+        st.tuples(st.sampled_from(["leaf", "recursive"]), st.booleans()),
+        min_size=1, max_size=2))
+    callees = [declare(kind) for kind, before in placements if before]
     main = pb.procedure("main")
+    callees += [declare(kind) for kind, before in placements if not before]
     main.block("start", insts=draw(st.integers(1, 6)))
 
     outer_head = ctx.fresh("outer")
     main.block(outer_head, insts=1)
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(
-            ["hot", "nested", "branchy", "diamond", "switch", "retry", "once"]
-        ))
-        if kind == "hot":
+        kind = draw(st.sampled_from(MOTIFS))
+        if kind == "call":
+            motifs.call_stage(main, ctx, draw(st.sampled_from(callees)))
+        elif kind == "call_loop":
+            motifs.call_loop(main, ctx, draw(st.sampled_from(callees)),
+                             trips=draw(st.integers(2, 12)))
+        elif kind == "phase":
+            motifs.phase_split(
+                main, ctx, period=draw(st.integers(5, 300)),
+                body_a=lambda: motifs.straight_run(main, ctx, 1, 3),
+                body_b=lambda: motifs.hot_loop(
+                    main, ctx, trips=draw(st.integers(2, 10)),
+                    body_blocks=1))
+        elif kind == "cold_init":
+            motifs.cold_init_section(main, ctx,
+                                     one_shot=draw(st.integers(0, 3)),
+                                     tight=draw(st.integers(0, 2)))
+        elif kind == "hot":
             motifs.hot_loop(main, ctx, trips=draw(st.integers(2, 20)),
                             body_blocks=draw(st.integers(1, 3)),
                             dual_entry=draw(st.booleans()))
@@ -163,24 +206,36 @@ def _fingerprint(result):
     )
 
 
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    """One trace file, rewritten by every example that collects."""
+    return tmp_path_factory.mktemp("pipelines") / "t.rtrc"
+
+
 class TestPipelinesAgree:
     """The reference state machine, fed by pull or by push, and the
-    fused fast core agree on any generated program."""
+    fused fast core agree on any generated program, live and replaying
+    a collected trace."""
 
     # Examples run in milliseconds, and only about a third of the
     # bounded ones select enough regions to evict, so draw more.
+    # Generated runs take a few hundred steps, so a drawn budget below
+    # 500 often stops the run, and its collection, mid-way.
     @settings(COMMON, max_examples=100)
     @given(small_programs(), st.sampled_from(SELECTORS),
-           st.sampled_from((None, "fifo", "flush")))
+           st.sampled_from((None, "fifo", "flush")),
+           st.one_of(st.just(30_000), st.integers(1, 500)))
     def test_pull_push_and_fused_fingerprints_equal(
-            self, program_seed, selector, policy):
+            self, trace_path, program_seed, selector, policy, max_steps):
+        from repro.tracing import collect_trace, replay_trace, replay_trace_into
+
         program, seed = program_seed
         config = SystemConfig(net_threshold=6, lei_threshold=5,
                               combined_net_t_start=3, combined_lei_t_start=2,
                               combine_t_prof=3, combine_t_min=2)
 
         def engine():
-            return ExecutionEngine(program, seed=seed, max_steps=30_000)
+            return ExecutionEngine(program, seed=seed, max_steps=max_steps)
 
         if policy is not None:
             # Half of what an unbounded run installs: every run that
@@ -199,6 +254,16 @@ class TestPipelinesAgree:
             assert pull.cache_evictions > 0
         assert _fingerprint(push) == _fingerprint(pull)
         assert _fingerprint(fused) == _fingerprint(pull)
+
+        # Collect once, then replay on the reference state machine
+        # (pulled) and on the fused core (pushed).
+        collect_trace(engine(), trace_path)
+        replay_pull = Simulator(program, selector, config).run(
+            replay_trace(trace_path, program))
+        replay_fused = Simulator(program, selector, config).run_push(
+            lambda consume: replay_trace_into(trace_path, program, consume))
+        assert _fingerprint(replay_pull) == _fingerprint(pull)
+        assert _fingerprint(replay_fused) == _fingerprint(pull)
 
 
 class TestLEITraceProperties:

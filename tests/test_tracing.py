@@ -4,13 +4,35 @@ import io
 
 import pytest
 
-from repro.errors import TraceFormatError
+from repro.cli import main
+from repro.config import SystemConfig
+from repro.errors import ExecutionError, TraceFormatError
 from repro.execution.engine import ExecutionEngine
+from repro.metrics.summary import MetricReport
+from repro.obs import CollectingSink, Observer
 from repro.program.builder import ProgramBuilder
-from repro.tracing.collector import collect_trace, replay_trace, trace_header
+from repro.selection.registry import SELECTOR_NAMES
+from repro.system.simulator import Simulator, simulate
+from repro.tracing.collector import (
+    collect_trace,
+    replay_trace,
+    replay_trace_into,
+    trace_header,
+)
 from repro.tracing.decoder import TraceReader
 from repro.tracing.encoder import TraceWriter
-from repro.tracing.records import TraceHeader
+from repro.tracing.records import (
+    COUNTS,
+    FLAG_HAS_TARGET,
+    FLAG_TAKEN,
+    RECORD_HEAD,
+    RECORD_TARGET,
+    TraceHeader,
+)
+from repro.workloads import build_benchmark
+
+#: perlbmk has an indirect dispatch, so its traces record targets.
+BENCH, SCALE, SEED = "perlbmk", 0.05, 3
 
 
 class TestHeader:
@@ -103,3 +125,213 @@ class TestMismatchDetection:
             writer.close()
             with pytest.raises(TraceFormatError, match="closed"):
                 writer.write_step(steps[1])
+
+
+@pytest.fixture(scope="module")
+def program():
+    return build_benchmark(BENCH, scale=SCALE)
+
+
+def write_v1_trace(path, program, seed):
+    """A version-1 trace of a live run: one record per step."""
+    data = bytearray(TraceHeader(program.name, program.block_count, seed,
+                                 version=1).encode())
+    for step in ExecutionEngine(program, seed=seed).run():
+        flags = FLAG_TAKEN if step.taken else 0
+        if step.target is None:
+            data += RECORD_HEAD.pack(step.block.block_id, flags)
+        else:
+            data += RECORD_HEAD.pack(step.block.block_id,
+                                     flags | FLAG_HAS_TARGET)
+            data += RECORD_TARGET.pack(step.target.block_id)
+    path.write_bytes(bytes(data))
+
+
+def cli_report(argv, capsys):
+    """The report lines ``repro`` prints after its title line."""
+    assert main(argv) == 0
+    return capsys.readouterr().out.splitlines()[1:]
+
+
+class TestVersion1Traces:
+    """Version-1 traces still replay, on the reference state machine,
+    pulled, pushed and through ``repro replay``."""
+
+    @pytest.fixture(scope="class")
+    def v1_trace(self, program, tmp_path_factory):
+        path = tmp_path_factory.mktemp("v1") / "perlbmk.rtrc"
+        write_v1_trace(path, program, SEED)
+        assert trace_header(path).version == 1
+        return path
+
+    @pytest.mark.parametrize("capacity", [None, 300])
+    @pytest.mark.parametrize("selector", SELECTOR_NAMES)
+    def test_pulled_and_pushed_equal_live(self, program, v1_trace, selector,
+                                          capacity):
+        config = SystemConfig(cache_capacity_bytes=capacity,
+                              cache_eviction_policy="fifo")
+        live = simulate(program, selector, config, seed=SEED, fast=False)
+        if capacity is not None:
+            assert live.cache_evictions > 0
+        pulled = Simulator(program, selector, config).run(
+            replay_trace(v1_trace, program))
+        pushed = Simulator(program, selector, config).run_push(
+            lambda consume: replay_trace_into(v1_trace, program, consume))
+        expected = MetricReport.from_result(live)
+        assert MetricReport.from_result(pulled) == expected
+        assert MetricReport.from_result(pushed) == expected
+
+    def test_pushed_replay_stays_on_the_reference(self, program, v1_trace,
+                                                  monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a version-1 replay reached the fused core")
+
+        monkeypatch.setattr(Simulator, "_run_fused", refuse)
+        Simulator(program, "net").run_push(
+            lambda consume: replay_trace_into(v1_trace, program, consume))
+
+    @pytest.mark.parametrize("selector", ["net", "lei"])
+    def test_repro_replay_prints_the_live_report(self, v1_trace, selector,
+                                                 capsys):
+        replayed = cli_report(["replay", str(v1_trace), selector,
+                               "--scale", str(SCALE)], capsys)
+        live = cli_report(["run", BENCH, selector, "--scale", str(SCALE),
+                           "--seed", str(SEED)], capsys)
+        assert replayed == live
+
+
+class TestVersion2Faults:
+    """A version-2 trace that does not match its program's run ends in
+    a :class:`TraceFormatError`, never in a report."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, program, tmp_path_factory):
+        """(header bytes, counts, direction-bit bytes, target bytes)."""
+        path = tmp_path_factory.mktemp("v2") / "perlbmk.rtrc"
+        collect_trace(ExecutionEngine(program, seed=SEED), path)
+        data = path.read_bytes()
+        head = len(TraceHeader(program.name, program.block_count,
+                               SEED).encode())
+        counts = COUNTS.unpack_from(data, head)
+        body = data[head + COUNTS.size:]
+        bit_bytes = (counts[1] + 7) // 8
+        assert counts[2] > 0, "no indirect targets recorded"
+        return data[:head], counts, body[:bit_bytes], body[bit_bytes:]
+
+    @staticmethod
+    def assemble(parts) -> bytes:
+        header, counts, bits, targets = parts
+        return header + COUNTS.pack(*counts) + bits + targets
+
+    def faulty(self, trace, fault) -> bytes:
+        header, counts, bits, targets = trace
+        steps, conditionals, indirects = counts
+        if fault == "truncated":
+            return self.assemble(trace)[:-3]
+        if fault == "trailing":
+            return self.assemble(trace) + b"\x00\x00"
+        if fault == "indirect-off-site":
+            # Block id 0 is main's entry, never a dispatch case.
+            return self.assemble((header, counts, bits,
+                                  (0).to_bytes(4, "little") + targets[4:]))
+        if fault == "too-many-steps":
+            return self.assemble((header, (steps + 1, conditionals,
+                                           indirects), bits, targets))
+        if fault == "unread-bits":
+            return self.assemble((header, (steps, conditionals + 8,
+                                           indirects), bits + b"\xff",
+                                  targets))
+        raise AssertionError(fault)
+
+    MESSAGES = {
+        "truncated": "truncated trace body",
+        "trailing": "2 trailing bytes",
+        "indirect-off-site": "recorded indirect target id 0 is not a target",
+        "too-many-steps": "steps but the program ended after",
+        "unread-bits": "direction bits",
+    }
+
+    @pytest.mark.parametrize("fault", sorted(MESSAGES))
+    def test_every_replay_path_refuses_it(self, program, trace, fault,
+                                          tmp_path):
+        path = tmp_path / "fault.rtrc"
+        path.write_bytes(self.faulty(trace, fault))
+        message = self.MESSAGES[fault]
+        with pytest.raises(TraceFormatError, match=message):
+            Simulator(program, "net").run(replay_trace(path, program))
+        with pytest.raises(TraceFormatError, match=message):
+            Simulator(program, "net").run_push(
+                lambda consume: replay_trace_into(path, program, consume))
+        with pytest.raises(TraceFormatError, match=message):
+            replay_trace_into(path, program, lambda *step: None)
+
+    @pytest.mark.parametrize("fault, step", [("truncated", 0),
+                                             ("indirect-off-site", None)])
+    def test_failure_is_the_runs(self, program, trace, fault, step,
+                                 tmp_path):
+        """The fused replay fails inside the run: the error carries the
+        run's context and a ``run_failed`` event is emitted."""
+        path = tmp_path / "fault.rtrc"
+        path.write_bytes(self.faulty(trace, fault))
+        sink = CollectingSink()
+        simulator = Simulator(program, "lei", observer=Observer(sink=sink))
+        with pytest.raises(TraceFormatError) as exc:
+            simulator.run_push(
+                lambda consume: replay_trace_into(path, program, consume))
+        context = exc.value.context
+        assert context["benchmark"] == BENCH
+        assert context["selector"] == "lei"
+        if step is None:
+            assert context["step"] > 0  # at the dispatch, mid-run
+        else:
+            assert context["step"] == step
+        failed = sink.by_kind("run_failed")
+        assert len(failed) == 1
+        assert failed[0].step == context["step"]
+        assert failed[0].get("error") == "TraceFormatError"
+        assert sink.by_kind("run_finished") == []
+
+    @staticmethod
+    def assert_one_line_error(argv, capsys, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: "), captured.err
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("fault", ["truncated", "trailing",
+                                       "indirect-off-site"])
+    def test_repro_replay_prints_one_error_line(self, trace, fault,
+                                                tmp_path, capsys):
+        path = tmp_path / "fault.rtrc"
+        path.write_bytes(self.faulty(trace, fault))
+        self.assert_one_line_error(
+            ["replay", str(path), "net", "--scale", str(SCALE)], capsys,
+            self.MESSAGES[fault])
+
+    def test_repro_replay_of_another_programs_trace(self, trace, tmp_path,
+                                                    capsys):
+        header, counts, bits, targets = trace
+        # The body of perlbmk's trace under gzip's name.
+        renamed = TraceHeader("gzip", 65, SEED).encode()
+        path = tmp_path / "renamed.rtrc"
+        path.write_bytes(self.assemble((renamed, counts, bits, targets)))
+        self.assert_one_line_error(
+            ["replay", str(path), "net", "--scale", str(SCALE)], capsys,
+            "trace expects 65 blocks but program 'gzip' has")
+
+    def test_aborted_collection_reads_as_truncated(self, tmp_path):
+        """A collection that dies mid-run writes no body: its file can
+        never replay as a shorter run."""
+        pb = ProgramBuilder("deep")
+        main_proc = pb.procedure("main")
+        main_proc.block("entry", insts=1).call("main")
+        main_proc.block("after", insts=1).halt()
+        deep = pb.build()
+        path = tmp_path / "deep.rtrc"
+        with pytest.raises(ExecutionError, match="overflow"):
+            collect_trace(ExecutionEngine(deep, max_call_depth=8), path)
+        with pytest.raises(TraceFormatError, match="truncated trace counts"):
+            list(replay_trace(path, deep))
