@@ -1,22 +1,16 @@
-"""Perf-trajectory bench harness (``repro bench``).
+"""Perf bench harness and its comparator (``repro bench``).
 
 Runs a pinned set of simulator workloads under the :mod:`repro.obs`
-span profiler, records per-phase wall time and events/sec (one
-simulated basic-block event per step), compares the numbers against
-the committed baseline in ``BASELINE.json``, and writes the whole run
-as ``BENCH_run.json`` — one point on the repository's performance
-trajectory.  See ``docs/experiments.md``.
+span profiler and records per-phase wall time and events/s (one
+simulated basic-block event per step) in host-normalized units: every
+pass is timed between two samples of a fixed pure-Python probe
+(:mod:`repro.bench.harness`).  One comparator
+(:func:`~repro.bench.regress.analyze_run`) scores a run against the
+committed baseline for ``repro bench``, its ``--check`` gate, its
+``--analyze`` re-read and ``repro obs report --bench``.  See
+``docs/performance.md``.
 """
 
-from repro.bench.baseline import (
-    DEFAULT_BASELINE_PATH,
-    QUICK_BASELINE_PATH,
-    compare_to_baseline,
-    default_baseline_path,
-    load_baseline,
-    regression_failures,
-    write_baseline,
-)
 from repro.bench.harness import (
     BENCH_VERSION,
     BenchWorkload,
@@ -27,32 +21,32 @@ from repro.bench.harness import (
     write_bench_run,
 )
 from repro.bench.regress import (
-    analyze_path,
+    DEFAULT_BASELINE_PATH,
+    PIN_RUNS,
+    QUICK_BASELINE_PATH,
     analyze_run,
+    default_baseline_path,
     format_analysis,
-    load_trajectory,
+    load_baseline,
+    load_record,
+    median_run,
 )
-from repro.bench.service import format_service_record, run_service_bench
 
 __all__ = [
     "BENCH_VERSION",
     "BenchWorkload",
     "DEFAULT_BASELINE_PATH",
+    "PIN_RUNS",
     "QUICK_BASELINE_PATH",
-    "default_baseline_path",
     "QUICK_WORKLOADS",
     "STANDARD_WORKLOADS",
-    "compare_to_baseline",
+    "analyze_run",
+    "default_baseline_path",
+    "format_analysis",
     "format_bench_table",
     "load_baseline",
-    "regression_failures",
+    "load_record",
+    "median_run",
     "run_bench",
-    "write_baseline",
     "write_bench_run",
-    "analyze_path",
-    "analyze_run",
-    "format_analysis",
-    "format_service_record",
-    "load_trajectory",
-    "run_service_bench",
 ]

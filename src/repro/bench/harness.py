@@ -1,15 +1,24 @@
 """Run the pinned bench workloads and serialize the measurements.
 
-The workload set is deliberately small and fixed: the same four
+The workload set is deliberately small and fixed: the same five
 (benchmark, selector) pairs at the same scale and seed every run, so
-two ``BENCH_run.json`` files from different commits are comparable
-point-for-point.  Each workload simulates under a fresh
+two bench records from different commits are comparable point for
+point.  Each pass simulates under a fresh
 :class:`~repro.obs.profile.SpanTimer`, giving per-phase self-time
 (``interpret``, ``cache_walk``, ``selector_decide``, ``region_build``)
-plus steps and throughput; a couple of report fields (hit rate, region
-count) ride along as a behaviour fingerprint — a perf delta paired
-with a fingerprint change means the code changed *what* it computes,
-not just how fast.
+plus steps; a few report fields (hit rate, region count, instructions)
+ride along as a behaviour fingerprint — a perf delta paired with a
+fingerprint change means the code changed *what* it computes, not just
+how fast.
+
+Throughput is recorded in host-normalized units.  Neighbours on a
+shared host change the speed of pure-Python code by up to 2x within
+minutes, and two machines differ by more, so absolute events/s pinned
+on one host judge nothing on another.  Every pass runs between two
+samples of :class:`HostSpeed`, a fixed pure-Python probe, and its rate
+is multiplied by the mean factor of those two samples: the recorded
+``norm_events_per_second`` reads as if the pass had run on a host where
+the probe takes 10 ms.
 """
 
 from __future__ import annotations
@@ -17,25 +26,23 @@ from __future__ import annotations
 import json
 import os
 import platform
+import random
 import sys
 import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.batch import build_fleet_program
 from repro.config import SystemConfig
 from repro.errors import ReproError
 from repro.experiments.manifest import git_sha
 from repro.metrics.summary import MetricReport
 from repro.obs import Observer, SpanTimer
 from repro.system.simulator import simulate
-from repro.workloads import build_benchmark
-from repro.workloads.micro import build_micro
 
-#: Bumped on incompatible changes to the BENCH_run.json schema.
-BENCH_VERSION = 1
-
-#: Default output file name — the perf-trajectory sample for this run.
-BENCH_RUN_NAME = "BENCH_run.json"
+#: Bumped on incompatible changes to the bench record; records of any
+#: other version cannot be compared (version 1 held absolute events/s).
+BENCH_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -61,73 +68,98 @@ STANDARD_WORKLOADS: Tuple[BenchWorkload, ...] = (
     BenchWorkload("chain-net", "micro:linked_chain", "net", scale=0.5),
 )
 
-#: Iterations a ``micro:`` workload runs at ``scale=1.0``; scaled
-#: linearly like the SPEC stand-ins so quick and standard runs stay
-#: proportional.
-MICRO_BASE_ITERATIONS = 6000
-
-
-def _build_bench_program(benchmark: str, scale: float):
-    """Build a bench program; ``micro:<name>`` selects a microbenchmark."""
-    if benchmark.startswith("micro:"):
-        iterations = max(1, int(round(scale * MICRO_BASE_ITERATIONS)))
-        return build_micro(benchmark[len("micro:"):], iterations=iterations)
-    return build_benchmark(benchmark, scale=scale)
-
 #: Reduced-scale variant for CI smoke runs (same pairs, same seeds).
 QUICK_WORKLOADS: Tuple[BenchWorkload, ...] = tuple(
     BenchWorkload(w.name, w.benchmark, w.selector, scale=0.1, seed=w.seed)
     for w in STANDARD_WORKLOADS
 )
 
+#: Passes per workload; the pass with the median normalized rate is
+#: recorded, so one pass that a neighbour slowed or a probe sample that
+#: a neighbour stretched does not set the number.
+DEFAULT_REPEATS = 5
 
-#: Passes per workload; the fastest pass is recorded.  Wall time on a
-#: shared machine is one-sided noise (preemption only ever adds time),
-#: so min-of-N is the standard low-variance throughput estimator.
-DEFAULT_REPEATS = 3
+
+class _Node:
+    __slots__ = ("succ", "count", "index")
 
 
-def _run_workload(workload: BenchWorkload, config: SystemConfig,
-                  repeats: int = DEFAULT_REPEATS) -> Dict[str, object]:
-    """Measure one workload; returns its JSON-ready record.
+class HostSpeed:
+    """How fast this host runs Python right now, from a fixed probe.
 
-    The workload is simulated ``repeats`` times and the fastest pass
-    provides the timing and per-phase profile.  Every pass must
-    produce the identical behaviour fingerprint — the runs are
-    deterministic, so a mismatch means the simulator is broken, and
-    the harness refuses to report a throughput number for it.
+    The probe is a fixed walk over a 32K-node object graph with dict
+    counters, independent of the simulator.  :meth:`sample` returns the
+    probe's time over ``REFERENCE_S``.  This is the probe perfbench
+    uses (``perfbench/common.py``); perfbench must not import the
+    program, so the two copies are kept alike by hand.
     """
-    program = _build_bench_program(workload.benchmark, workload.scale)
-    best_snapshot = None
-    fingerprint = None
-    for _ in range(max(1, repeats)):
-        profiler = SpanTimer()
-        observer = Observer(profiler=profiler)
-        result = simulate(program, workload.selector, config,
-                          seed=workload.seed, observer=observer)
-        report = MetricReport.from_result(result)
-        snapshot = profiler.snapshot()
-        current = (report.hit_rate, report.region_count,
-                   report.total_instructions, int(snapshot["steps"]))
-        if fingerprint is None:
-            fingerprint = current
-        elif current != fingerprint:
-            raise ReproError(
-                f"bench workload {workload.name!r} is non-deterministic: "
-                f"fingerprint {current} != {fingerprint}"
-            )
-        if (best_snapshot is None
-                or snapshot["wall_seconds"] < best_snapshot["wall_seconds"]):
-            best_snapshot = snapshot
-            best_report = report
-    snapshot = best_snapshot
-    report = best_report
+
+    REFERENCE_S = 0.010
+    STEPS = 30_000
+
+    def __init__(self) -> None:
+        rng = random.Random(20261017)
+        nodes = [_Node() for _ in range(1 << 15)]
+        for index, node in enumerate(nodes):
+            node.succ = (rng.choice(nodes), rng.choice(nodes))
+            node.count = 0
+            node.index = index
+        self._start = nodes[0]
+
+    def sample(self) -> float:
+        """Time the probe once; returns its factor."""
+        counts: Dict[int, int] = {}
+        node = self._start
+        x = 1
+        started = time.perf_counter()
+        for _ in range(self.STEPS):
+            x = (x * 1103515245 + 12345) & 0x7FFFFFFF
+            node = node.succ[x & 1]
+            node.count += 1
+            counts[node.index] = counts.get(node.index, 0) + 1
+        return (time.perf_counter() - started) / self.REFERENCE_S
+
+
+def _run_pass(workload: BenchWorkload, program,
+              config: SystemConfig) -> Tuple[Dict[str, object], MetricReport]:
+    profiler = SpanTimer()
+    result = simulate(program, workload.selector, config,
+                      seed=workload.seed, observer=Observer(profiler=profiler))
+    return profiler.snapshot(), MetricReport.from_result(result)
+
+
+def _record(workload: BenchWorkload,
+            passes: List[Tuple[Dict[str, object], MetricReport, float]]
+            ) -> Dict[str, object]:
+    """One workload's JSON record from its ``(snapshot, report, factor)``
+    passes.
+
+    Every pass must produce the identical behaviour fingerprint — the
+    runs are deterministic, so a mismatch means the simulator is
+    broken, and the harness refuses to report a throughput number for
+    it.
+    """
+    fingerprints = {
+        (report.hit_rate, report.region_count, report.total_instructions,
+         int(snapshot["steps"]))
+        for snapshot, report, _ in passes
+    }
+    if len(fingerprints) > 1:
+        raise ReproError(
+            f"bench workload {workload.name!r} is non-deterministic: "
+            f"fingerprints {sorted(fingerprints)}"
+        )
+    ranked = sorted(passes, key=lambda p: p[0]["steps_per_second"] * p[2])
+    snapshot, report, factor = ranked[len(ranked) // 2]
+    eps = float(snapshot["steps_per_second"])
     return {
         **asdict(workload),
-        "repeats": max(1, repeats),
+        "repeats": len(passes),
         "wall_seconds": round(float(snapshot["wall_seconds"]), 6),
         "steps": int(snapshot["steps"]),
-        "events_per_second": round(float(snapshot["steps_per_second"]), 1),
+        "events_per_second": round(eps, 1),
+        "host_factor": round(factor, 4),
+        "norm_events_per_second": round(eps * factor, 1),
         "phases": {
             name: {
                 "seconds": round(float(data["seconds"]), 6),
@@ -135,8 +167,6 @@ def _run_workload(workload: BenchWorkload, config: SystemConfig,
             }
             for name, data in snapshot["phases"].items()
         },
-        # Behaviour fingerprint: if these move, the delta is not (only)
-        # a performance change.
         "hit_rate": report.hit_rate,
         "region_count": report.region_count,
         "total_instructions": report.total_instructions,
@@ -148,29 +178,28 @@ def run_bench(
     workloads: Optional[Sequence[BenchWorkload]] = None,
     config: Optional[SystemConfig] = None,
     repeats: int = DEFAULT_REPEATS,
-    service: bool = False,
 ) -> Dict[str, object]:
     """Run the pinned workload set and assemble the bench record.
 
-    ``service=True`` additionally boots the grid server against a fresh
-    store and records warm/cold request-latency percentiles under the
-    ``service`` key (see :mod:`repro.bench.service`); the CLI turns it
-    on by default, library callers opt in.
+    Passes go round robin over the workloads, so each workload's passes
+    spread over the whole run instead of sharing one stretch of host
+    speed; the probe is sampled between every two passes.
     """
     if workloads is None:
         workloads = QUICK_WORKLOADS if quick else STANDARD_WORKLOADS
     config = config if config is not None else SystemConfig()
-    records: List[Dict[str, object]] = []
-    started = time.monotonic()
-    for workload in workloads:
-        records.append(_run_workload(workload, config, repeats=repeats))
-    service_record = None
-    if service:
-        from repro.bench.service import run_service_bench
-
-        service_record = run_service_bench(quick=quick)
-    total_wall = sum(float(r["wall_seconds"]) for r in records)
-    total_steps = sum(int(r["steps"]) for r in records)
+    programs = [build_fleet_program(w.benchmark, w.scale) for w in workloads]
+    passes: List[List[Tuple[Dict[str, object], MetricReport, float]]] = [
+        [] for _ in workloads
+    ]
+    host = HostSpeed()
+    before = host.sample()
+    for _ in range(max(1, repeats)):
+        for workload, program, samples in zip(workloads, programs, passes):
+            snapshot, report = _run_pass(workload, program, config)
+            after = host.sample()
+            samples.append((snapshot, report, (before + after) / 2))
+            before = after
     return {
         "bench_version": BENCH_VERSION,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -178,21 +207,13 @@ def run_bench(
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "quick": bool(quick),
-        "workloads": records,
-        "service": service_record,
-        "totals": {
-            "wall_seconds": round(total_wall, 6),
-            "steps": total_steps,
-            "events_per_second": (
-                round(total_steps / total_wall, 1) if total_wall > 0 else 0.0
-            ),
-            "harness_seconds": round(time.monotonic() - started, 6),
-        },
+        "workloads": [_record(w, p) for w, p in zip(workloads, passes)],
     }
 
 
 def write_bench_run(run: Dict[str, object], path: str) -> str:
-    """Write the bench record as JSON; returns the path."""
+    """Write a bench record (a run or a baseline) as JSON; returns the
+    path."""
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -202,39 +223,18 @@ def write_bench_run(run: Dict[str, object], path: str) -> str:
     return path
 
 
-def format_bench_table(run: Dict[str, object],
-                       deltas: Optional[Dict[str, object]] = None) -> str:
-    """Human-readable summary (one line per workload, plus totals)."""
+def format_bench_table(run: Dict[str, object]) -> str:
+    """Human-readable measurements, one line per workload."""
     lines = [
         f"{'workload':<22s} {'steps':>9s} {'wall s':>9s} "
-        f"{'events/s':>12s} {'vs baseline':>12s}"
+        f"{'events/s':>12s} {'host':>6s} {'norm ev/s':>12s}"
     ]
-    per_workload = (deltas or {}).get("workloads", {})
     for record in run["workloads"]:
-        delta = per_workload.get(record["name"])
-        if delta is None:
-            delta_text = "-"
-        else:
-            ratio = delta["events_per_second_ratio"]
-            delta_text = f"{(ratio - 1) * 100:+.1f}%"
         lines.append(
             f"{record['name']:<22s} {record['steps']:>9d} "
             f"{record['wall_seconds']:>9.4f} "
-            f"{record['events_per_second']:>12,.0f} {delta_text:>12s}"
+            f"{record['events_per_second']:>12,.0f} "
+            f"{record['host_factor']:>6.2f} "
+            f"{record['norm_events_per_second']:>12,.0f}"
         )
-    totals = run["totals"]
-    if deltas is None:
-        total_text = "-"
-    else:
-        ratio = deltas["totals"]["events_per_second_ratio"]
-        total_text = f"{(ratio - 1) * 100:+.1f}%"
-    lines.append(
-        f"{'total':<22s} {totals['steps']:>9d} "
-        f"{totals['wall_seconds']:>9.4f} "
-        f"{totals['events_per_second']:>12,.0f} {total_text:>12s}"
-    )
-    if run.get("service"):
-        from repro.bench.service import format_service_record
-
-        lines.append(format_service_record(run["service"]))
     return "\n".join(lines)

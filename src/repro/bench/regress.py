@@ -1,281 +1,221 @@
-"""The bench-regression sentinel (``repro bench --analyze``).
+"""The bench comparator: one run's verdicts against its baseline.
 
-The ±tolerance gate in :mod:`repro.bench.baseline` answers one blunt
-question — "did throughput fall off a cliff versus the committed
-baseline?".  This module reads the whole measurement more carefully:
+``repro bench`` (with or without ``--check``), ``repro bench --analyze``
+and ``repro obs report --bench`` all score a run through
+:func:`analyze_run`.  For each workload it reports:
 
-* **per-workload deltas** against the pinned baseline, classified into
-  ``ok`` / ``warn`` / ``regression`` verdicts at two thresholds (a CI
-  gate wants one number; a human reading the report wants the early
-  warning too);
-* **per-phase deltas**: the share of wall time each profiler phase
-  (``interpret``, ``cache_walk``, ``selector_decide``,
-  ``region_build``) consumes, compared against the baseline's shares —
-  a regression that moved time *between* phases names its suspect even
-  when total throughput barely moved;
-* **trailing-trajectory statistics**: when several runs are available
-  (a JSON list, or several ``BENCH_run.json`` files concatenated), the
-  current run is scored against the robust center (median) and spread
-  (scaled MAD) of the trailing window, which separates "this machine is
-  noisy" from "this commit is slow" better than any fixed tolerance.
+* the ratio of the run's host-normalized events/s to the baseline's,
+  classified ``ok``, ``warn`` at a 10% drop and ``regression`` at a 25%
+  drop;
+* any change of the behaviour fingerprint (hit rate, region count,
+  instructions, steps) — a perf delta paired with one means the code
+  changed *what* it computes, not just how fast;
+* the profiler phases whose share of wall time grew, named as suspects
+  when throughput dropped — a slowdown that moved time *between*
+  phases names its phase.
 
-Everything returns plain dicts; :func:`format_analysis` renders the
-terminal/Markdown report.  Wall-clock numbers are machine-dependent, so
-the sentinel is advisory by design — CI runs it as a non-blocking
-warning step next to the blunt gate.
+A baseline that cannot be compared — a record of another bench
+version, one that lacks a workload of the run, or one that ran a
+workload at another scale or seed — raises
+:class:`~repro.errors.ConfigError` instead of producing verdicts.
+
+The committed baselines ship inside the package: ``BASELINE.json`` for
+the standard set and ``BASELINE_quick.json`` for the quick set (the
+two simulate different work, so each needs its own reference).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench.harness import BENCH_VERSION
 from repro.errors import ConfigError
 
 #: Fractional throughput drop that downgrades a workload to ``warn``.
 WARN_TOLERANCE = 0.10
-#: Fractional throughput drop classified as a ``regression``.
+#: Fractional throughput drop classified as a ``regression`` — the only
+#: verdict that fails ``repro bench --check``.
 FAIL_TOLERANCE = 0.25
-#: Phase whose share of wall time grew by more than this (absolute,
-#: in [0, 1]) is named as the suspect in the verdict notes.
+#: A phase whose share of wall time grew by more than this (absolute,
+#: in [0, 1]) is named as a suspect.
 PHASE_SHARE_DELTA = 0.10
-#: Trailing trajectory runs considered by the robust statistics.
-TRAJECTORY_WINDOW = 5
-#: Robust z-score below which the trajectory flags the current run.
-TRAJECTORY_Z = 3.0
+#: Fields that must not move unless the code changed what it computes.
+FINGERPRINT_FIELDS = ("hit_rate", "region_count", "total_instructions",
+                      "steps")
+#: Runs ``repro bench --update-baseline`` pins the median of.
+PIN_RUNS = 5
 
-_VERDICT_RANK = {"ok": 0, "warn": 1, "regression": 2}
+VERDICTS = ("ok", "warn", "regression")
+
+DEFAULT_BASELINE_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "BASELINE.json"
+)
+QUICK_BASELINE_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "BASELINE_quick.json"
+)
 
 
-def load_trajectory(path: str) -> List[Dict[str, object]]:
-    """Load bench runs from ``path``, oldest first.
+def default_baseline_path(quick: bool = False) -> str:
+    return QUICK_BASELINE_PATH if quick else DEFAULT_BASELINE_PATH
 
-    Accepts either one run object (the shape ``repro bench`` writes to
-    ``BENCH_run.json``) or a JSON list of run objects (a concatenated
-    trajectory); a single run normalizes to a one-element list.
-    """
+
+def load_record(path: str) -> Dict[str, object]:
+    """Load one bench record (a run or a baseline) from ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except FileNotFoundError:
-        raise ConfigError(f"no bench run at {path!r}") from None
+        raise ConfigError(
+            f"no bench record at {path!r} (`repro bench` records a run, "
+            f"`repro bench --update-baseline` pins a baseline)"
+        ) from None
     except ValueError as exc:
         raise ConfigError(
-            f"bench trajectory {path!r} is not valid JSON: {exc}"
+            f"bench record {path!r} is not valid JSON: {exc}"
         ) from None
-    if isinstance(data, dict):
-        return [data]
-    if isinstance(data, list) and all(isinstance(r, dict) for r in data):
-        return list(data)
-    raise ConfigError(
-        f"bench trajectory {path!r} must hold a run object or a list of "
-        f"run objects"
-    )
+    if not isinstance(data, dict):
+        raise ConfigError(f"bench record {path!r} must hold one run object")
+    return data
 
 
-def robust_center(values: Sequence[float]) -> float:
-    """The median (robust location estimator)."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
+def load_baseline(path: Optional[str] = None,
+                  quick: bool = False) -> Dict[str, object]:
+    """Load the baseline at ``path`` (default: the committed one)."""
+    return load_record(path if path is not None
+                       else default_baseline_path(quick))
 
 
-def robust_spread(values: Sequence[float]) -> float:
-    """Scaled median absolute deviation (consistent with sigma under
-    normality: MAD * 1.4826)."""
-    center = robust_center(values)
-    deviations = [abs(value - center) for value in values]
-    return 1.4826 * robust_center(deviations)
+def median_run(runs: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    """The record to pin from several runs of one workload set: per
+    workload, the record with the median normalized rate, so that one
+    fast outlier cannot become the baseline."""
+    pinned = dict(runs[0])
+    pinned["workloads"] = [
+        sorted(records,
+               key=lambda r: r["norm_events_per_second"])[len(records) // 2]
+        for records in zip(*(run["workloads"] for run in runs))
+    ]
+    return pinned
+
+
+#: Fields every workload record needs to be scored.
+SCORED_FIELDS = ("name", "scale", "seed", "norm_events_per_second",
+                 "wall_seconds", "phases")
+
+
+def _check_comparable(run: Dict[str, object],
+                      baseline: Dict[str, object]) -> None:
+    for label, record in (("run", run), ("baseline", baseline)):
+        version = record.get("bench_version")
+        if version != BENCH_VERSION:
+            raise ConfigError(
+                f"the {label} is a bench version {version} record; only "
+                f"version {BENCH_VERSION} records (probe-normalized "
+                f"events/s) can be compared"
+            )
+        workloads = record.get("workloads")
+        if not isinstance(workloads, list) or not all(
+                isinstance(w, dict) and all(f in w for f in SCORED_FIELDS)
+                and isinstance(w["phases"], dict) for w in workloads):
+            raise ConfigError(
+                f"the {label} is malformed: it needs a list of workload "
+                f"records with {', '.join(SCORED_FIELDS)}"
+            )
+    pinned = {record["name"]: record for record in baseline["workloads"]}
+    problems = []
+    for record in run["workloads"]:
+        name = record["name"]
+        reference = pinned.get(name)
+        if reference is None:
+            problems.append(f"no entry for {name}")
+        elif ((reference["scale"], reference["seed"])
+              != (record["scale"], record["seed"])):
+            problems.append(
+                f"{name} ran at scale {reference['scale']} seed "
+                f"{reference['seed']}, the run at scale {record['scale']} "
+                f"seed {record['seed']}"
+            )
+    if problems:
+        raise ConfigError(
+            f"baseline cannot be compared: {'; '.join(problems)} "
+            f"(re-pin with `repro bench --update-baseline`)"
+        )
 
 
 def _phase_shares(record: Dict[str, object]) -> Dict[str, float]:
     """Each phase's share of the workload's wall time, in [0, 1]."""
-    wall = float(record.get("wall_seconds", 0.0))
-    phases = record.get("phases", {})
-    if wall <= 0 or not isinstance(phases, dict):
+    wall = float(record["wall_seconds"])
+    if wall <= 0:
         return {}
-    return {
-        name: float(data.get("seconds", 0.0)) / wall
-        for name, data in phases.items()
-    }
+    return {name: float(data["seconds"]) / wall
+            for name, data in record["phases"].items()}
 
 
-def _workload_history(
-    trajectory: Sequence[Dict[str, object]], name: str
-) -> List[float]:
-    """events/sec for ``name`` over the trajectory, oldest first."""
-    history = []
-    for run in trajectory:
-        for record in run.get("workloads", []):
-            if record.get("name") == name:
-                history.append(float(record.get("events_per_second", 0.0)))
-                break
-    return history
-
-
-def _classify(drop: float, warn_tolerance: float,
-              fail_tolerance: float) -> str:
-    if drop >= fail_tolerance:
-        return "regression"
-    if drop >= warn_tolerance:
-        return "warn"
-    return "ok"
-
-
-def analyze_run(
-    run: Dict[str, object],
-    baseline: Optional[Dict[str, object]] = None,
-    trajectory: Optional[Sequence[Dict[str, object]]] = None,
-    warn_tolerance: float = WARN_TOLERANCE,
-    fail_tolerance: float = FAIL_TOLERANCE,
-    window: int = TRAJECTORY_WINDOW,
-) -> Dict[str, object]:
-    """Score one bench run against its baseline and trajectory.
-
-    Returns a verdict document::
+def analyze_run(run: Dict[str, object],
+                baseline: Dict[str, object]) -> Dict[str, object]:
+    """Score ``run`` against ``baseline``; returns the verdict document::
 
         {"verdict": "ok"|"warn"|"regression",
-         "workloads": {name: {"verdict": ..., "baseline_ratio": ...,
-                              "notes": [...], ...}},
-         "fingerprint_changes": [...], ...}
+         "workloads": {name: {"verdict": ..., "ratio": ...,
+                              "norm_events_per_second": ...,
+                              "fingerprint_changes": [...],
+                              "grown_phases": [...]}},
+         "baseline_git_sha": ..., "baseline_created_at": ...}
 
-    ``trajectory`` is the full run history *excluding nothing*; if the
-    current run is its last element it is dropped from the trailing
-    window automatically (a run cannot be evidence about itself).
+    Raises :class:`~repro.errors.ConfigError` when the baseline cannot
+    be compared.
     """
-    base_workloads = {
-        record["name"]: record
-        for record in (baseline or {}).get("workloads", [])
-    }
-    history_runs = list(trajectory or [])
-    if history_runs and history_runs[-1] is run:
-        history_runs = history_runs[:-1]
-    history_runs = history_runs[-window:]
-
+    _check_comparable(run, baseline)
+    pinned = {record["name"]: record for record in baseline["workloads"]}
     workloads: Dict[str, Dict[str, object]] = {}
-    fingerprint_changes: List[str] = []
-    worst = "ok"
-    for record in run.get("workloads", []):
-        name = str(record.get("name"))
-        eps = float(record.get("events_per_second", 0.0))
-        verdicts: List[str] = []
-        notes: List[str] = []
-        entry: Dict[str, object] = {
-            "events_per_second": eps,
-        }
-
-        reference = base_workloads.get(name)
-        comparable = (
-            reference is not None
-            and reference.get("scale") == record.get("scale")
-            and reference.get("seed") == record.get("seed")
-        )
-        if comparable:
-            base_eps = float(reference.get("events_per_second", 0.0))
-            ratio = eps / base_eps if base_eps > 0 else 0.0
-            entry["baseline_ratio"] = round(ratio, 4)
-            verdicts.append(
-                _classify(1.0 - ratio, warn_tolerance, fail_tolerance)
-            )
-            if verdicts[-1] != "ok":
-                notes.append(
-                    f"throughput at {100 * ratio:.0f}% of baseline"
-                )
-            # Behaviour fingerprint: a perf delta paired with a
-            # fingerprint change is not (only) a performance change.
-            for field in ("hit_rate", "region_count",
-                          "total_instructions", "steps"):
-                if record.get(field) != reference.get(field):
-                    fingerprint_changes.append(
-                        f"{name}: {field} "
-                        f"{reference.get(field)} -> {record.get(field)}"
-                    )
-            # Per-phase shares: name the phase that absorbed the time.
-            shares = _phase_shares(record)
-            base_shares = _phase_shares(reference)
-            grown = {
-                phase: shares[phase] - base_shares.get(phase, 0.0)
-                for phase in shares
-                if shares[phase] - base_shares.get(phase, 0.0)
-                >= PHASE_SHARE_DELTA
-            }
-            if grown:
-                entry["phase_share_growth"] = {
-                    phase: round(delta, 4)
-                    for phase, delta in sorted(grown.items())
-                }
-                if verdicts[-1] != "ok":
-                    suspects = ", ".join(sorted(grown))
-                    notes.append(f"wall-time share grew in: {suspects}")
+    for record in run["workloads"]:
+        reference = pinned[record["name"]]
+        ratio = (float(record["norm_events_per_second"])
+                 / float(reference["norm_events_per_second"]))
+        if ratio <= 1.0 - FAIL_TOLERANCE:
+            verdict = "regression"
+        elif ratio <= 1.0 - WARN_TOLERANCE:
+            verdict = "warn"
         else:
-            entry["baseline_ratio"] = None
-            notes.append("no comparable baseline workload")
-
-        history = _workload_history(history_runs, name)
-        if history:
-            center = robust_center(history)
-            spread = robust_spread(history)
-            entry["trajectory"] = {
-                "runs": len(history),
-                "median_events_per_second": round(center, 1),
-                "mad_events_per_second": round(spread, 1),
-            }
-            if center > 0:
-                drop = 1.0 - eps / center
-                # Demand both a meaningful drop and statistical
-                # separation: MAD near zero (identical reruns) must not
-                # turn measurement jitter into a finding.
-                floor = max(spread * TRAJECTORY_Z,
-                            center * warn_tolerance)
-                if center - eps >= floor and drop >= warn_tolerance:
-                    verdicts.append(_classify(
-                        drop, warn_tolerance, fail_tolerance
-                    ))
-                    notes.append(
-                        f"below trailing-{len(history)} median by "
-                        f"{100 * drop:.0f}%"
-                    )
-
-        verdict = max(verdicts, key=_VERDICT_RANK.get, default="ok")
-        entry["verdict"] = verdict
-        entry["notes"] = notes
-        workloads[name] = entry
-        if _VERDICT_RANK[verdict] > _VERDICT_RANK[worst]:
-            worst = verdict
-
-    totals_entry: Dict[str, object] = {}
-    if baseline is not None:
-        base_totals = baseline.get("totals", {})
-        run_totals = run.get("totals", {})
-        base_eps = float(base_totals.get("events_per_second", 0.0))
-        eps = float(run_totals.get("events_per_second", 0.0))
-        if base_eps > 0:
-            totals_entry["baseline_ratio"] = round(eps / base_eps, 4)
-
+            verdict = "ok"
+        shares = _phase_shares(record)
+        base_shares = _phase_shares(reference)
+        workloads[record["name"]] = {
+            "norm_events_per_second": record["norm_events_per_second"],
+            "ratio": round(ratio, 4),
+            "verdict": verdict,
+            "fingerprint_changes": [
+                f"{field} {reference.get(field)} -> {record.get(field)}"
+                for field in FINGERPRINT_FIELDS
+                if record.get(field) != reference.get(field)
+            ],
+            "grown_phases": sorted(
+                phase for phase, share in shares.items()
+                if share - base_shares.get(phase, 0.0) >= PHASE_SHARE_DELTA
+            ),
+        }
     return {
-        "verdict": worst,
-        "warn_tolerance": warn_tolerance,
-        "fail_tolerance": fail_tolerance,
+        "verdict": max((entry["verdict"] for entry in workloads.values()),
+                       key=VERDICTS.index, default="ok"),
         "workloads": workloads,
-        "totals": totals_entry,
-        "fingerprint_changes": fingerprint_changes,
-        "trajectory_runs": len(history_runs),
+        "baseline_git_sha": baseline.get("git_sha"),
+        "baseline_created_at": baseline.get("created_at"),
     }
 
 
-def analyze_path(
-    path: str,
-    baseline: Optional[Dict[str, object]] = None,
-    **kwargs,
-) -> Dict[str, object]:
-    """Analyze the last run of the trajectory file at ``path``."""
-    trajectory = load_trajectory(path)
-    return analyze_run(trajectory[-1], baseline=baseline,
-                       trajectory=trajectory, **kwargs)
+def _notes(entry: Dict[str, object]) -> List[str]:
+    notes = []
+    if entry["verdict"] != "ok":
+        notes.append(f"throughput at {100 * entry['ratio']:.0f}% of baseline")
+        if entry["grown_phases"]:
+            notes.append(
+                f"wall-time share grew in: {', '.join(entry['grown_phases'])}"
+            )
+    notes.extend(f"fingerprint {change}"
+                 for change in entry["fingerprint_changes"])
+    return notes
 
 
 _MARKS = {"ok": "ok", "warn": "WARN", "regression": "REGRESSION"}
@@ -284,46 +224,26 @@ _MARKS = {"ok": "ok", "warn": "WARN", "regression": "REGRESSION"}
 def format_analysis(analysis: Dict[str, object],
                     markdown: bool = False) -> str:
     """Render a verdict document for the terminal (or as Markdown)."""
-    lines: List[str] = []
-    overall = str(analysis.get("verdict", "ok"))
+    overall = _MARKS[analysis["verdict"]]
     if markdown:
-        lines.append("## Bench regression analysis")
-        lines.append("")
-        lines.append(f"**Overall: {_MARKS.get(overall, overall)}**")
-        lines.append("")
-        lines.append("| workload | events/s | vs baseline | verdict | notes |")
-        lines.append("|---|---:|---:|---|---|")
+        lines = ["## Bench regression analysis", "",
+                 f"**Overall: {overall}**", "",
+                 "| workload | norm ev/s | vs baseline | verdict | notes |",
+                 "|---|---:|---:|---|---|"]
     else:
-        lines.append(f"bench regression analysis: {_MARKS.get(overall)}")
-    for name, entry in sorted(analysis.get("workloads", {}).items()):
-        ratio = entry.get("baseline_ratio")
-        ratio_text = f"{(ratio - 1) * 100:+.1f}%" if ratio else "-"
-        notes = "; ".join(entry.get("notes", [])) or "-"
+        lines = [f"bench regression analysis: {overall}"]
+    for name, entry in analysis["workloads"].items():
+        ratio_text = f"{(entry['ratio'] - 1) * 100:+.1f}%"
+        notes = "; ".join(_notes(entry)) or "-"
         if markdown:
             lines.append(
-                f"| {name} | {entry['events_per_second']:,.0f} "
+                f"| {name} | {entry['norm_events_per_second']:,.0f} "
                 f"| {ratio_text} | {_MARKS[entry['verdict']]} | {notes} |"
             )
         else:
             lines.append(
-                f"  {name:<22s} {entry['events_per_second']:>12,.0f} ev/s "
-                f"{ratio_text:>8s}  {_MARKS[entry['verdict']]:<10s} {notes}"
+                f"  {name:<22s} {entry['norm_events_per_second']:>12,.0f} "
+                f"norm ev/s {ratio_text:>8s}  "
+                f"{_MARKS[entry['verdict']]:<10s} {notes}"
             )
-    changes = analysis.get("fingerprint_changes", [])
-    if changes:
-        lines.append("")
-        lines.append("fingerprint changes (behaviour, not just speed):")
-        for change in changes:
-            lines.append(f"  - {change}")
-    totals_ratio = analysis.get("totals", {}).get("baseline_ratio")
-    if totals_ratio:
-        lines.append("")
-        lines.append(
-            f"total throughput vs baseline: {(totals_ratio - 1) * 100:+.1f}%"
-        )
-    if analysis.get("trajectory_runs"):
-        lines.append(
-            f"trailing trajectory window: {analysis['trajectory_runs']} "
-            f"run(s)"
-        )
     return "\n".join(lines)

@@ -9,11 +9,11 @@ Commands:
 * ``collect`` — record a benchmark's execution to a binary trace file;
 * ``replay`` — run a selector over a previously collected trace;
 * ``inspect`` — summarize a JSONL event log without re-running;
-* ``bench`` — run the pinned perf workloads, compare against the
-  committed baseline and write ``BENCH_run.json`` (see
-  ``docs/experiments.md``); ``bench --analyze`` re-reads that file
-  through the regression sentinel (:mod:`repro.bench.regress`) without
-  re-running anything;
+* ``bench`` — run the pinned perf workloads, write ``BENCH_run.json``
+  and score it against the committed baseline in host-normalized units
+  (:mod:`repro.bench.regress`; see ``docs/performance.md``);
+  ``bench --analyze`` scores the recorded file without re-running
+  anything;
 * ``obs report`` — render the merged fleet-telemetry JSON written by
   ``run_grid(telemetry_out=...)`` (see ``docs/observability.md``);
 * ``fleet`` — run a (benchmark x selector x seed) grid as one fleet,
@@ -131,7 +131,10 @@ def _finish_observer(observer, args: argparse.Namespace) -> None:
         print(observer.profiler.format_table(), file=sys.stderr)
 
 
-def _print_report(report: MetricReport) -> None:
+def _print_result(result) -> None:
+    """Print a run's metric report, plus its eviction counts when the
+    bounded cache evicted."""
+    report = MetricReport.from_result(result)
     rows = [
         ("hit rate", f"{100 * report.hit_rate:.2f}%"),
         ("regions selected", report.region_count),
@@ -146,6 +149,9 @@ def _print_report(report: MetricReport) -> None:
         ("cache size estimate (B)", report.cache_size_estimate),
         ("instructions executed", report.total_instructions),
     ]
+    if result.cache_evictions:
+        rows += [("cache evictions", result.cache_evictions),
+                 ("regenerated regions", result.regenerated_regions)]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name.ljust(width)}  {value}")
@@ -168,10 +174,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _finish_observer(observer, args)
     print(f"{args.benchmark} / {args.selector} (scale {args.scale}, "
           f"seed {args.seed})")
-    _print_report(MetricReport.from_result(result))
-    if result.cache_evictions:
-        print(f"{'cache evictions'.ljust(23)}  {result.cache_evictions}")
-        print(f"{'regenerated regions'.ljust(23)}  {result.regenerated_regions}")
+    _print_result(result)
     return 0
 
 
@@ -191,86 +194,57 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.analyze:
-        return _bench_analyze(args)
-    from repro.bench import (
-        compare_to_baseline,
-        format_bench_table,
-        load_baseline,
-        regression_failures,
-        run_bench,
-        write_baseline,
-        write_bench_run,
-    )
+    """``repro bench``: run the pinned workloads (with ``--analyze``,
+    re-read the run at ``--out`` instead) and score the run against its
+    baseline.
 
-    run = run_bench(quick=args.quick, repeats=args.repeats,
-                    service=not args.no_service)
-    deltas = None
-    baseline = None if args.no_baseline else load_baseline(
-        args.baseline, quick=args.quick)
-    if baseline is not None:
-        deltas = compare_to_baseline(run, baseline)
-        run["baseline"] = deltas
-    else:
-        run["baseline"] = None
-    print(format_bench_table(run, deltas))
-    path = write_bench_run(run, args.out)
-    print(f"\nbench run written to {path}", file=sys.stderr)
-    if args.update_baseline:
-        # The baseline is a plain run: drop the self-referential deltas.
-        snapshot = {k: v for k, v in run.items() if k != "baseline"}
-        baseline_path = write_baseline(snapshot, args.baseline,
-                                       quick=args.quick)
-        print(f"baseline updated at {baseline_path}", file=sys.stderr)
-    if args.check:
-        if deltas is None:
-            print("error: --check needs a baseline, but none was found "
-                  "(run `repro bench --update-baseline` to pin one)",
-                  file=sys.stderr)
-            return 2
-        if deltas["skipped"]:
-            missing = ", ".join(deltas["skipped"])
-            print(f"error: baseline has no comparable entry for: {missing} "
-                  f"(re-pin with `repro bench --update-baseline`)",
-                  file=sys.stderr)
-            return 2
-        failures = regression_failures(deltas, tolerance=args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}", file=sys.stderr)
-            return 1
-        print("no throughput regression beyond tolerance", file=sys.stderr)
-    return 0
-
-
-def _bench_analyze(args: argparse.Namespace) -> int:
-    """``bench --analyze``: sentinel pass over an already-recorded run.
-
-    Reads the trajectory at ``--out`` (no workloads are re-run), scores
-    the last run against the pinned baseline and the trailing window,
-    and prints the verdict report.  Always exits 0 — the sentinel is
-    advisory by design; the blunt gate is ``bench --check``.
+    A baseline that cannot be compared exits 2 with a one-line
+    ``error:`` message; ``--check`` exits 1 when any workload's verdict
+    is ``regression``.
     """
     from repro.bench import (
+        PIN_RUNS,
         analyze_run,
+        default_baseline_path,
         format_analysis,
+        format_bench_table,
         load_baseline,
-        load_trajectory,
+        load_record,
+        median_run,
+        run_bench,
+        write_bench_run,
     )
     from repro.errors import ConfigError
 
     try:
-        trajectory = load_trajectory(args.out)
+        if args.analyze:
+            run = load_record(args.out)
+        else:
+            run = run_bench(quick=args.quick, repeats=args.repeats)
+            print(format_bench_table(run))
+            path = write_bench_run(run, args.out)
+            print(f"bench run written to {path}", file=sys.stderr)
+            if args.update_baseline:
+                runs = [run] + [run_bench(quick=args.quick,
+                                          repeats=args.repeats)
+                                for _ in range(PIN_RUNS - 1)]
+                path = write_bench_run(
+                    median_run(runs),
+                    args.baseline or default_baseline_path(args.quick))
+                print(f"baseline pinned at {path} (per workload, the "
+                      f"median of {len(runs)} runs)", file=sys.stderr)
+        if args.no_baseline:
+            if args.check:
+                raise ConfigError("--check needs a baseline; drop "
+                                  "--no-baseline")
+            return 0
+        analysis = analyze_run(run, load_baseline(
+            args.baseline, quick=bool(run.get("quick"))))
     except ConfigError as exc:
-        print(f"error: {exc} (record one with `repro bench`)",
-              file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    run = trajectory[-1]
-    baseline = None if args.no_baseline else load_baseline(
-        args.baseline, quick=bool(run.get("quick")))
-    analysis = analyze_run(run, baseline=baseline, trajectory=trajectory)
     print(format_analysis(analysis, markdown=args.markdown))
-    return 0
+    return 1 if args.check and analysis["verdict"] == "regression" else 0
 
 
 def cmd_obs_report(args: argparse.Namespace) -> int:
@@ -291,18 +265,16 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
 
     analysis = None
     if args.bench is not None:
-        from repro.bench import analyze_run, load_baseline, load_trajectory
+        from repro.bench import analyze_run, load_baseline, load_record
         from repro.errors import ConfigError
 
         try:
-            trajectory = load_trajectory(args.bench)
+            run = load_record(args.bench)
+            analysis = analyze_run(run, load_baseline(
+                None, quick=bool(run.get("quick"))))
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        run = trajectory[-1]
-        baseline = load_baseline(None, quick=bool(run.get("quick")))
-        analysis = analyze_run(run, baseline=baseline,
-                               trajectory=trajectory)
     print(format_telemetry_report(doc, analysis=analysis,
                                   markdown=args.markdown))
     return 0
@@ -541,7 +513,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"replayed {header.program_name!r} through {args.selector}")
-    _print_report(MetricReport.from_result(result))
+    _print_result(result)
     return 0
 
 
@@ -578,25 +550,19 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--no-baseline", action="store_true",
                        help="skip the baseline comparison entirely")
     bench.add_argument("--update-baseline", action="store_true",
-                       help="write this run as the new committed baseline")
+                       help="run the set five times and pin the "
+                            "per-workload median as the baseline")
     bench.add_argument("--check", action="store_true",
-                       help="exit nonzero if throughput regressed beyond "
-                            "--tolerance")
-    bench.add_argument("--repeats", type=int, default=3, metavar="N",
-                       help="passes per workload; the fastest is recorded "
-                            "(default: 3)")
-    bench.add_argument("--tolerance", type=float, default=0.35,
-                       help="allowed fractional events/s drop for --check "
-                            "(default 0.35)")
+                       help="exit 1 if any workload's normalized events/s "
+                            "fell 25%% or more below the baseline")
+    bench.add_argument("--repeats", type=int, default=5, metavar="N",
+                       help="passes per workload; the median normalized "
+                            "pass is recorded (default: 5)")
     bench.add_argument("--analyze", action="store_true",
-                       help="analyze the run already recorded at --out "
-                            "through the regression sentinel (no workloads "
-                            "are re-run; always exits 0)")
+                       help="score the run already recorded at --out "
+                            "instead of running the workloads")
     bench.add_argument("--markdown", action="store_true",
-                       help="with --analyze: emit the report as Markdown")
-    bench.add_argument("--no-service", action="store_true",
-                       help="skip the service-latency workload (warm/cold "
-                            "request p50/p99 through `repro serve`)")
+                       help="emit the verdicts as Markdown")
     bench.set_defaults(func=cmd_bench)
 
     serve = sub.add_parser(

@@ -13,9 +13,10 @@ resolves it through a three-tier path:
 3. cold dispatch — batched into the job engine with its timeout /
    retry / fault machinery, persisting and resolving as cells finish.
 
-See ``docs/service.md`` for endpoints, schema and GC tuning, and
-``repro bench`` for the warm/cold latency SLO recorded in
-``BENCH_run.json``.
+See ``docs/service.md`` for endpoints, schema and GC tuning.  The
+latency SLO is checked by ``repro serve --smoke`` (the cold/warm
+contract) and measured under load by the benchmark's serve-mix
+workload; ``repro bench`` records no service latency.
 """
 
 from repro.serve.client import ServiceClient

@@ -1,6 +1,6 @@
 """A minimal blocking client for the grid server (stdlib ``http.client``).
 
-Used by the CI smoke check, the latency bench and the tests; kept
+Used by the CI smoke check and the tests; kept
 deliberately tiny — real clients are expected to speak plain HTTP from
 whatever stack they already have (the request schema is the contract,
 not this class).  The underlying connection is keep-alive, so repeated

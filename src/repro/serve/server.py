@@ -16,8 +16,8 @@ Every request is measured into the ``serve_latency_seconds`` histogram
 the simulator watch the service.
 
 :class:`ServerThread` runs the whole stack on a background thread with
-its own event loop — the harness tests, the latency bench and the CI
-smoke check all drive a real socket through it.
+its own event loop — the tests and the CI smoke check drive a real
+socket through it.
 """
 
 from __future__ import annotations

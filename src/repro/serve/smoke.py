@@ -8,10 +8,10 @@ service contract the docs promise:
 * the **warm** request resolves with ``source="store"`` — served from
   the content-addressed store without launching anything (the launch
   count must not move);
-* warm requests are much faster than the cold one (the SLO the latency
-  bench tracks; the smoke check only asserts the direction, not the
-  full 10x, because one sample on a noisy CI runner is not a
-  percentile).
+* warm requests are faster than the cold one (the smoke check asserts
+  the direction only: one sample on a noisy CI runner is not a
+  percentile; the benchmark's serve-mix workload measures latency
+  percentiles under load).
 
 Returns the measurement as a dict (written as JSON when
 ``latency_out`` is given — CI uploads it next to the bench artifacts);

@@ -89,6 +89,23 @@ class TestCollectReplay:
         assert "replayed 'bzip2'" in out
         assert "hit rate" in out
 
+    def test_bounded_replay_prints_what_run_prints(self, tmp_path, capsys):
+        trace = tmp_path / "perlbmk.rtrc"
+        assert main(["collect", "perlbmk", "--scale", "0.05",
+                     "-o", str(trace)]) == 0
+        bounded = ["net", "--scale", "0.05", "--cache-capacity", "300",
+                   "--eviction", "fifo"]
+        capsys.readouterr()
+        assert main(["run", "perlbmk", *bounded]) == 0
+        ran = capsys.readouterr().out.splitlines()
+        assert main(["replay", str(trace), *bounded]) == 0
+        replayed = capsys.readouterr().out.splitlines()
+        # Same report below the differing header line, eviction counts
+        # included.
+        assert replayed[1:] == ran[1:]
+        assert "cache evictions          17" in replayed
+        assert "regenerated regions      10" in replayed
+
 
 class TestFleet:
     ARGS = ["fleet", "--benchmarks", "micro:linked_chain,micro:self_loop",
@@ -226,17 +243,25 @@ class TestErrorReporting:
         self._assert_one_line_error(capsys, code, "[Errno 2]")
 
     @staticmethod
+    def _assert_bench_error(capsys, code, starts_with):
+        # The run is written (and says so on stderr) before it is
+        # scored; the failed comparison is the one error line after it.
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert lines[-1].startswith("error: " + starts_with), lines
+        assert sum(line.startswith("error: ") for line in lines) == 1
+
+    @staticmethod
     def _fake_run():
         return {
-            "bench_version": 1,
+            "bench_version": 2,
             "quick": True,
             "workloads": [{
                 "name": "gzip-net", "benchmark": "gzip", "selector": "net",
                 "scale": 0.1, "seed": 1, "steps": 10, "wall_seconds": 0.01,
-                "events_per_second": 1000.0, "phases": {},
+                "events_per_second": 1000.0, "host_factor": 1.5,
+                "norm_events_per_second": 1500.0, "phases": {},
             }],
-            "totals": {"steps": 10, "wall_seconds": 0.01,
-                       "events_per_second": 1000.0},
         }
 
     def test_bench_check_without_baseline(self, tmp_path, capsys,
@@ -248,9 +273,17 @@ class TestErrorReporting:
         code = main(["bench", "--quick", "--check",
                      "--baseline", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "run.json")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "error: --check needs a baseline" in err
+        self._assert_bench_error(capsys, code, "no bench record at")
+
+    def test_bench_check_with_no_baseline_flag(self, tmp_path, capsys,
+                                               monkeypatch):
+        import repro.bench
+
+        monkeypatch.setattr(repro.bench, "run_bench",
+                            lambda **kwargs: self._fake_run())
+        code = main(["bench", "--quick", "--check", "--no-baseline",
+                     "--out", str(tmp_path / "run.json")])
+        self._assert_bench_error(capsys, code, "--check needs a baseline")
 
     def test_bench_check_with_missing_workload_entry(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -267,6 +300,5 @@ class TestErrorReporting:
         code = main(["bench", "--quick", "--check",
                      "--baseline", str(baseline_path),
                      "--out", str(tmp_path / "run.json")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "error: baseline has no comparable entry for: gzip-net" in err
+        self._assert_bench_error(
+            capsys, code, "baseline cannot be compared: no entry for gzip-net")
