@@ -11,13 +11,16 @@ code *once* and then executes it without consulting its own tables:
 * :class:`BlockInterner` — every basic block is interned to its dense
   ``block_id`` at program load, so all hot lookups index flat lists
   instead of hashing dict keys (residency, deciders, walk tables).
-* :class:`TraceWalkTable` / :class:`CFGWalkTable` — an immutable flat
-  walk table per installed region: per-position block, instruction
-  count, pre-bound branch-decision closure (shared with the
-  interpreter, so per-site state never forks), icache offsets, and
-  *static-run* metadata — maximal spans of positions whose transfer is
-  statically known to advance, which the walker executes in one bound.
-* Direct trace→trace **link patching** — whenever a region exit's
+* :class:`WalkTable` — one immutable, position-indexed walk table per
+  installed region of either kind (a trace's path positions, a CFG
+  region's blocks in address order): per position the pre-bound
+  branch-decision closure (shared with the interpreter, so per-site
+  state never forks), instruction count, icache offset and size, the
+  position a taken or fall-through transfer stays on (the region's own
+  stay rule, evaluated once), a target map for returns and indirect
+  jumps, and *static runs* — chains of constant decisions the walker
+  executes in one bound.
+* Direct region→region **link patching** — whenever a region exit's
   statically-known target is another resident region's entry, the walk
   table slot holds a direct reference to that region's table, so the
   fast path chains region to region without bouncing through
@@ -44,16 +47,9 @@ from repro.isa.opcodes import BranchKind
 from repro.program.cfg import BasicBlock
 from repro.program.program import Program
 
-#: Field indices of one CFG walk-table record (a small mutable list so
-#: the link slots can be patched in place; see :class:`CFGWalkTable`).
-REC_DECIDE = 0
-REC_COUNT = 1
-REC_STAY = 2
-REC_OFFSET = 3
-REC_SIZE = 4
-REC_LINK_TAKEN = 5
-REC_LINK_FALL = 6
-REC_DYNAMIC = 7
+#: ``next_taken`` of a position whose target is dynamic (a return or an
+#: indirect jump): where it stays is looked up in ``targets``.
+DYNAMIC = -2
 
 _DIRECT_TAKEN_KINDS = (BranchKind.COND, BranchKind.JUMP, BranchKind.CALL)
 
@@ -108,101 +104,200 @@ class _LinkSite:
         self.key = key
 
 
-class TraceWalkTable:
-    """Flat per-position walk table for one installed trace region.
+class WalkTable:
+    """Flat position-indexed walk table for one installed region.
 
-    Parallel tuples indexed by path position; the walker touches no
-    region/block attributes per step.  ``run_len[i]`` is the length of
-    the maximal *static run* starting at ``i``: consecutive positions
-    whose pre-bound decision is a constant ``(taken, target)`` tuple
-    that advances to the next path position — the walker consumes the
-    whole span in one loop iteration (``run_insts[i]`` instructions)
-    and tallies the walked edges via ``run_hits``.
+    A trace's positions are its path positions, entered at 0; a CFG
+    region's are its blocks in address order, entered at ``entry_pos``.
+    Parallel sequences indexed by position, so the walker touches no
+    region or block attributes per step:
 
-    ``adv``/``cyc``/``run_hits`` accumulate walked-edge counts by
-    position; :meth:`fold_edges` folds them into the run's shared edge
-    profile once at end of run (the walked edge is fully determined by
-    the position, and dict equality does not see insertion order).
+    * ``next_taken[i]`` / ``next_fall[i]`` — the position a taken or a
+      fall-through transfer out of ``i`` stays on, ``-1`` when it
+      leaves (``TraceRegion.position_after`` and
+      ``CFGRegion.stays_internal``, evaluated at compile time on the
+      block's static targets).  A return or indirect jump has
+      ``next_taken[i] == DYNAMIC`` and a map in ``targets[i]``: target
+      block -> ``[position, walked count]``, holding only the targets
+      that stay (a trace's next path block and top, a CFG region's
+      observed edges);
+    * ``run_len[i]`` — the length of the *static run* from ``i``: the
+      chain of positions whose decision is a constant ``(taken,
+      target)`` tuple that stays, never moving onto the entry (cycles
+      that avoid the entry are cut at compile time).  The walker
+      consumes the whole chain in one loop iteration (``run_insts[i]``
+      instructions, landing on ``run_end[i]``) and tallies it in
+      ``run_hits``;
+    * ``link_taken[i]`` / ``link_fall[i]`` — the patchable link slots of
+      the two static exits.
+
+    ``taken_hits`` / ``fall_hits`` (and the ``targets`` slots) count
+    walked edges by position and direction; :meth:`fold_edges` folds
+    them into the run's shared edge profile once at the end of the run
+    (a walked edge is fully determined by its position and direction,
+    and dict equality does not see insertion order).
     """
 
-    is_trace = True
-
     __slots__ = (
-        "region", "path", "path_len", "path0", "deciders", "counts",
-        "offsets", "sizes", "run_len", "run_insts", "dyn_exit",
-        "link_taken", "link_fall", "adv", "cyc", "run_hits", "sites",
+        "region", "blocks", "entry_pos", "deciders", "counts", "offsets",
+        "sizes", "next_taken", "next_fall", "targets", "run_len", "run_end",
+        "run_insts", "run_hits", "taken_hits", "fall_hits", "link_taken",
+        "link_fall", "sites",
     )
 
-    def __init__(self, region: Region) -> None:
+    def __init__(
+        self,
+        region: Region,
+        decider_for: Callable[[BasicBlock], object],
+    ) -> None:
         self.region = region
-        self.path: Tuple[BasicBlock, ...] = tuple(region.path)
-        n = len(self.path)
-        self.path_len = n
-        self.path0 = self.path[0]
-        self.counts = tuple(b.bundle.count for b in self.path)
-        self.offsets = tuple(region.position_offsets)
-        self.sizes = tuple(b.byte_size for b in self.path)
-        self.dyn_exit = tuple(
-            b.terminator.kind.target_is_dynamic for b in self.path
-        )
-        self.deciders: List[object] = []
-        self.run_len: Tuple[int, ...] = ()
-        self.run_insts: Tuple[int, ...] = ()
-        self.link_taken: List[Optional[object]] = [None] * n
-        self.link_fall: List[Optional[object]] = [None] * n
-        self.adv = [0] * n
-        self.cyc = [0] * n
-        self.run_hits = [0] * n
+        if region.is_trace:
+            blocks = region.path
+            self.entry_pos = 0
+            offsets = region.position_offsets
+
+            def stays_on(pos, taken, target):
+                nxt = region.position_after(pos, taken, target)
+                return -1 if nxt is None else nxt
+        else:
+            blocks = tuple(region.block_list)
+            position = {block: pos for pos, block in enumerate(blocks)}
+            self.entry_pos = position[region.entry]
+            offsets = tuple(region.block_offsets[b] for b in blocks)
+            observed: Dict[BasicBlock, List[BasicBlock]] = {}
+            for src, dst in region.edges:
+                observed.setdefault(src, []).append(dst)
+
+            def stays_on(pos, taken, target):
+                if region.stays_internal(blocks[pos], taken, target):
+                    return position[target]
+                return -1
+        n = len(blocks)
+        self.blocks: Tuple[BasicBlock, ...] = blocks
+        self.deciders = [decider_for(block) for block in blocks]
+        self.counts = tuple(b.bundle.count for b in blocks)
+        self.offsets = offsets
+        self.sizes = tuple(b.byte_size for b in blocks)
+        next_taken = [-1] * n
+        next_fall = [-1] * n
+        targets: List[Optional[Dict[BasicBlock, list]]] = [None] * n
+        for pos, block in enumerate(blocks):
+            kind = block.terminator.kind
+            if kind.target_is_dynamic:
+                # Every target that can stay: a trace's next path block
+                # and top, a CFG region's observed edges.
+                if region.is_trace:
+                    candidates = blocks[pos + 1:pos + 2] + blocks[:1]
+                else:
+                    candidates = observed.get(block, ())
+                next_taken[pos] = DYNAMIC
+                slots = {}
+                for target in candidates:
+                    stay = stays_on(pos, True, target)
+                    if stay >= 0:
+                        slots[target] = [stay, 0]
+                targets[pos] = slots
+                continue
+            if kind in _DIRECT_TAKEN_KINDS:
+                next_taken[pos] = stays_on(
+                    pos, True, block.terminator.taken_target)
+            if kind.may_fall_through:
+                next_fall[pos] = stays_on(pos, False, block.fallthrough)
+        self.next_taken = tuple(next_taken)
+        self.next_fall = tuple(next_fall)
+        self.targets = tuple(targets)
+        self._compile_runs()
+        self.taken_hits = [0] * n
+        self.fall_hits = [0] * n
+        self.link_taken: List[Optional[WalkTable]] = [None] * n
+        self.link_fall: List[Optional[WalkTable]] = [None] * n
         #: ``(target block id, site)`` for every link slot this table
         #: registered — unregistered again when the table is retired.
         self.sites: List[Tuple[int, _LinkSite]] = []
 
+    def _compile_runs(self) -> None:
+        """Chain the constant decisions into static runs, cutting any
+        cycle where the chain would revisit one of its positions."""
+        n = len(self.blocks)
+        entry_pos = self.entry_pos
+        step = [-1] * n  # where a constant decision stays, never the entry
+        for pos, decide in enumerate(self.deciders):
+            if decide.__class__ is tuple:
+                stay = (self.next_taken if decide[0] else self.next_fall)[pos]
+                if stay >= 0 and stay != entry_pos:
+                    step[pos] = stay
+        counts = self.counts
+        run_len = [0] * n
+        run_end = list(range(n))
+        run_insts = [0] * n
+        done = [False] * n
+        for start in range(n):
+            chain = []
+            pos = start
+            while pos >= 0 and not done[pos]:
+                done[pos] = True
+                chain.append(pos)
+                pos = step[pos]
+            if pos >= 0 and pos in chain:
+                # A cycle: its last position steps back onto it and the
+                # run stops there.
+                last = chain.pop()
+                run_len[last] = 1
+                run_end[last] = pos
+                run_insts[last] = counts[last]
+            for pos in reversed(chain):
+                stay = step[pos]
+                if stay >= 0:
+                    run_len[pos] = 1 + run_len[stay]
+                    run_end[pos] = run_end[stay] if run_len[stay] else stay
+                    run_insts[pos] = counts[pos] + run_insts[stay]
+        self.run_len = tuple(run_len)
+        self.run_end = tuple(run_end)
+        self.run_insts = tuple(run_insts)
+        self.run_hits = [0] * n
+
+    def advance(self, pos: int, span: int, hits: int = 1) -> Tuple[int, int]:
+        """Walk ``span`` steps of the static run from ``pos``, counting
+        ``hits`` walks of each edge; returns the landing position and
+        the steps' instruction count."""
+        deciders = self.deciders
+        counts = self.counts
+        insts = 0
+        for _ in range(span):
+            insts += counts[pos]
+            if deciders[pos][0]:
+                self.taken_hits[pos] += hits
+                pos = self.next_taken[pos]
+            else:
+                self.fall_hits[pos] += hits
+                pos = self.next_fall[pos]
+        return pos, insts
+
     def fold_edges(self, edge_profile: Dict) -> None:
         """Fold the batched walked-edge counts into ``edge_profile``."""
-        adv = self.adv
         run_len = self.run_len
-        for i, hits in enumerate(self.run_hits):
+        for pos, hits in enumerate(self.run_hits):
             if hits:
-                for j in range(i, i + run_len[i]):
-                    adv[j] += hits
-        self.run_hits = [0] * self.path_len
-        path = self.path
+                self.advance(pos, run_len[pos], hits)
+        n = len(self.blocks)
+        self.run_hits = [0] * n
+        blocks = self.blocks
         get = edge_profile.get
-        for i, count in enumerate(adv):
-            if count:
-                edge = (path[i], path[i + 1])
-                edge_profile[edge] = get(edge, 0) + count
-        self.adv = [0] * self.path_len
-        top = path[0]
-        for i, count in enumerate(self.cyc):
-            if count:
-                edge = (path[i], top)
-                edge_profile[edge] = get(edge, 0) + count
-        self.cyc = [0] * self.path_len
-
-
-class CFGWalkTable:
-    """Per-block walk records for one installed multi-path region.
-
-    ``records[block]`` is a small list (indexed by the ``REC_*``
-    constants): pre-bound decision closure, instruction count, the set
-    of targets a *taken* transfer may stay internal on (observed edges
-    for dynamic blocks, the whole block set otherwise), icache layout
-    offsets, the two patchable link slots, and the dynamic-target flag.
-    """
-
-    is_trace = False
-
-    __slots__ = ("region", "entry", "blocks", "records", "entry_record",
-                 "sites")
-
-    def __init__(self, region: Region) -> None:
-        self.region = region
-        self.entry = region.entry
-        self.blocks = region.block_set
-        self.records: Dict[BasicBlock, list] = {}
-        self.entry_record: Optional[list] = None
-        self.sites: List[Tuple[int, _LinkSite]] = []
+        for hits, stays in ((self.taken_hits, self.next_taken),
+                            (self.fall_hits, self.next_fall)):
+            for pos, count in enumerate(hits):
+                if count:
+                    edge = (blocks[pos], blocks[stays[pos]])
+                    edge_profile[edge] = get(edge, 0) + count
+        self.taken_hits = [0] * n
+        self.fall_hits = [0] * n
+        for pos, slots in enumerate(self.targets):
+            if slots:
+                for target, slot in slots.items():
+                    if slot[1]:
+                        edge = (blocks[pos], target)
+                        edge_profile[edge] = get(edge, 0) + slot[1]
+                        slot[1] = 0
 
 
 class DispatchTable:
@@ -230,18 +325,18 @@ class DispatchTable:
         self.decider_for = decider_for
         #: Flat residency: entry block id -> walk table of the resident
         #: region entered there, ``None`` when nothing is resident.
-        self.tables_by_entry: List[Optional[object]] = (
+        self.tables_by_entry: List[Optional[WalkTable]] = (
             [None] * self.interner.size
         )
-        #: Every trace table ever compiled this run, for edge folding
-        #: (tables of evicted regions keep their walked-edge counts).
-        self.trace_tables: List[TraceWalkTable] = []
+        #: Every walk table compiled this run, for edge folding (tables
+        #: of evicted regions keep their walked-edge counts).
+        self.tables: List[WalkTable] = []
         self._link_sites: Dict[int, List[_LinkSite]] = {}
 
     # -- compilation -----------------------------------------------------
     def _register(
         self,
-        table,
+        table: WalkTable,
         target: Optional[BasicBlock],
         container: list,
         key: int,
@@ -256,89 +351,24 @@ class DispatchTable:
         self._link_sites.setdefault(tid, []).append(site)
         table.sites.append((tid, site))
 
-    def compile(self, region: Region):
+    def compile(self, region: Region) -> WalkTable:
         """Compile a region into its walk table (no residency change)."""
-        if region.is_trace:
-            return self._compile_trace(region)
-        return self._compile_cfg(region)
-
-    def _compile_trace(self, region: Region) -> TraceWalkTable:
-        table = TraceWalkTable(region)
-        path = table.path
-        n = table.path_len
-        decider_for = self.decider_for
-        deciders = [decider_for(block) for block in path]
-        table.deciders = deciders
-        # Static runs: position i advances unconditionally when its
-        # decision is a constant tuple whose target is the next path
-        # block.  (The last position never advances, so runs never
-        # reach past n-1; a span landing there is handled stepwise.)
-        counts = table.counts
-        run_len = [0] * n
-        run_insts = [0] * n
-        for i in range(n - 2, -1, -1):
-            decide = deciders[i]
-            if decide.__class__ is tuple and decide[1] is path[i + 1]:
-                run_len[i] = 1 + run_len[i + 1]
-                run_insts[i] = counts[i] + run_insts[i + 1]
-        table.run_len = tuple(run_len)
-        table.run_insts = tuple(run_insts)
-        for i, block in enumerate(path):
-            term = block.terminator
-            kind = term.kind
-            if kind.target_is_dynamic:
-                continue
-            if kind in _DIRECT_TAKEN_KINDS:
-                self._register(table, term.taken_target, table.link_taken, i)
-            if kind.may_fall_through:
-                self._register(table, block.fallthrough, table.link_fall, i)
-        self.trace_tables.append(table)
-        return table
-
-    def _compile_cfg(self, region: Region) -> CFGWalkTable:
-        table = CFGWalkTable(region)
-        blocks = region.block_set
-        edges = region.edges
-        dynamic = region.dynamic_blocks
-        offsets = region.block_offsets
-        decider_for = self.decider_for
-        records = table.records
-        for block in region.block_list:
-            term = block.terminator
-            kind = term.kind
-            if block in dynamic:
-                # Dynamic transfers stay internal only along observed
-                # edges — the inlined target-compare chain.
-                stay_taken = frozenset(
-                    dst for src, dst in edges if src is block
-                )
-            else:
-                stay_taken = blocks
-            record = [
-                decider_for(block),
-                block.bundle.count,
-                stay_taken,
-                offsets[block],
-                block.byte_size,
-                None,
-                None,
-                kind.target_is_dynamic,
-            ]
-            records[block] = record
-            if not kind.target_is_dynamic:
-                if kind in _DIRECT_TAKEN_KINDS:
-                    self._register(
-                        table, term.taken_target, record, REC_LINK_TAKEN
-                    )
-                if kind.may_fall_through:
-                    self._register(
-                        table, block.fallthrough, record, REC_LINK_FALL
-                    )
-        table.entry_record = records[region.entry]
+        table = WalkTable(region, self.decider_for)
+        # Link slots for the static exits: transfers that leave.
+        next_taken = table.next_taken
+        next_fall = table.next_fall
+        for pos, block in enumerate(table.blocks):
+            kind = block.terminator.kind
+            if kind in _DIRECT_TAKEN_KINDS and next_taken[pos] == -1:
+                self._register(table, block.terminator.taken_target,
+                               table.link_taken, pos)
+            if kind.may_fall_through and next_fall[pos] == -1:
+                self._register(table, block.fallthrough, table.link_fall, pos)
+        self.tables.append(table)
         return table
 
     # -- residency and link patching -------------------------------------
-    def install(self, region: Region):
+    def install(self, region: Region) -> WalkTable:
         """Compile ``region`` and patch every link slot aimed at it."""
         table = self.compile(region)
         entry_id = region.entry.block_id
@@ -366,7 +396,7 @@ class DispatchTable:
                     del link_sites[tid]
         table.sites = []
 
-    def table_for(self, region: Region):
+    def table_for(self, region: Region) -> WalkTable:
         """The region's resident table, or a fresh (non-resident)
         compilation — selectors may hand back regions they chose not to
         install, and the walker still needs a table to walk them."""

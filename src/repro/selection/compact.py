@@ -32,52 +32,51 @@ _ADDRESS_BITS = 64
 
 
 class _BitWriter:
-    """Append-only bitstring builder (MSB-first within each byte)."""
+    """Append-only bitstring builder (MSB-first within each byte).
 
-    __slots__ = ("_bytes", "_bit_length")
+    The bits accumulate in one integer, so a 64-bit address is one
+    shift and one or, not 64 loop iterations.
+    """
+
+    __slots__ = ("_value", "_bit_length")
 
     def __init__(self) -> None:
-        self._bytes = bytearray()
+        self._value = 0
         self._bit_length = 0
 
     def write_bits(self, value: int, width: int) -> None:
-        for shift in range(width - 1, -1, -1):
-            bit = (value >> shift) & 1
-            offset = self._bit_length & 7
-            if offset == 0:
-                self._bytes.append(0)
-            if bit:
-                self._bytes[-1] |= 0x80 >> offset
-            self._bit_length += 1
+        """Append the low ``width`` bits of ``value``, high bit first."""
+        self._value = (self._value << width) | (value & ((1 << width) - 1))
+        self._bit_length += width
 
     @property
     def bit_length(self) -> int:
         return self._bit_length
 
     def getvalue(self) -> bytes:
-        return bytes(self._bytes)
+        """The bits, zero-padded to a whole number of bytes."""
+        size = (self._bit_length + 7) >> 3
+        padded = self._value << (8 * size - self._bit_length)
+        return padded.to_bytes(size, "big")
 
 
 class _BitReader:
     """Sequential bitstring reader matching :class:`_BitWriter`."""
 
-    __slots__ = ("_data", "_cursor", "_bit_length")
+    __slots__ = ("_value", "_size", "_cursor", "_bit_length")
 
     def __init__(self, data: bytes, bit_length: int) -> None:
-        self._data = data
+        self._value = int.from_bytes(data, "big")
+        self._size = 8 * len(data)
         self._cursor = 0
-        self._bit_length = bit_length
+        self._bit_length = min(bit_length, self._size)
 
     def read_bits(self, width: int) -> int:
-        if self._cursor + width > self._bit_length:
+        cursor = self._cursor + width
+        if cursor > self._bit_length:
             raise TraceFormatError("compact trace bitstring is truncated")
-        value = 0
-        for _ in range(width):
-            byte = self._data[self._cursor >> 3]
-            bit = (byte >> (7 - (self._cursor & 7))) & 1
-            value = (value << 1) | bit
-            self._cursor += 1
-        return value
+        self._cursor = cursor
+        return (self._value >> (self._size - cursor)) & ((1 << width) - 1)
 
 
 def _taken_with_next(block: BasicBlock, nxt: BasicBlock) -> bool:

@@ -52,10 +52,10 @@ private step counter that could drift from the simulator's own.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.cache.codecache import make_cache
-from repro.cache.dispatch import DispatchTable
+from repro.cache.dispatch import DYNAMIC, DispatchTable, WalkTable
 from repro.cache.icache import InstructionCache
 from repro.cache.region import Region
 from repro.errors import ReproError, SelectionError
@@ -552,16 +552,18 @@ class Simulator:
         loop inlines the engine's block-decision dispatch *and* the
         simulator's per-step logic into a single ``while`` over
         compiled *walk tables*
-        (:mod:`repro.cache.dispatch`): every region install compiles a
-        flat per-position table — pre-bound decision closure,
-        instruction count, layout offsets, patched trace links — so a
+        (:mod:`repro.cache.dispatch`): every region install, trace or
+        CFG, compiles one flat position-indexed table — pre-bound
+        decision closure, instruction count, layout offsets, the
+        position each transfer stays on, patched links — so a
         cache-walk step indexes parallel tuples instead of touching
-        region or block attributes, maximal statically-advancing spans
-        of a trace are consumed in one bound (*static runs*), and a
-        region exit whose statically-known target is another resident
-        region's entry chains through the patched link slot without any
-        residency lookup at all.  Decision-for-decision it must mirror
-        :meth:`_run_loop`; the bit-identity suite in
+        region or block attributes, chains of constant decisions are
+        consumed in one bound (*static runs*), and a region exit whose
+        statically-known target is another resident region's entry
+        chains through the patched link slot without any residency
+        lookup at all.  One walk loop serves both region kinds; its
+        locals are bound once per region stint.  Decision-for-decision
+        it must mirror :meth:`_run_loop`; the bit-identity suite in
         ``tests/test_fast_path.py`` compares the two over every
         (benchmark × selector × cache-policy) cell.
 
@@ -584,19 +586,27 @@ class Simulator:
           contexts; building a closure consumes no randomness, so eager
           compilation at install time leaves the RNG stream untouched;
         * a static run batches only decisions that are constant
-          ``(taken, target)`` tuples advancing along the trace —
+          ``(taken, target)`` tuples that stay in the region and never
+          move onto its entry (so no cycle back is hidden inside one) —
           evaluating them stepwise has no side effects — and batching
           is disabled when per-step observers (step hooks, an icache
           model) are registered;
+        * where a transfer stays is the region's own rule
+          (``TraceRegion.position_after``, ``CFGRegion.stays_internal``)
+          evaluated at compile time on the block's static targets: a
+          static block's taken and fall-through targets never vary, and
+          a return or indirect jump looks its target up among the ones
+          that stay;
         * a patched link slot holds exactly what ``CodeCache.lookup``
           would return for that exit's statically-known target — the
           dispatch layer re-patches every slot on install and eviction,
           and dynamic-target exits (returns, indirect jumps) fall back
           to the flat residency table;
-        * trace-walk edge counts are keyed by *path position* in flat
-          lists and folded into ``edge_profile`` once at the end — the
-          walked edge is fully determined by the position, and dict
-          equality does not see insertion order.
+        * walked-edge counts are keyed by position and direction (a
+          dynamic target's by its slot) and folded into
+          ``edge_profile`` once at the end — the walked edge is fully
+          determined by them, and dict equality does not see insertion
+          order.
         """
         selector = self.selector
         cache = self.cache
@@ -640,7 +650,7 @@ class Simulator:
         block: Optional[BasicBlock] = program.entry
         max_steps = engine.max_steps
         steps = 0
-        # Static-run batching folds whole trace spans into one loop
+        # Static-run batching folds whole runs into one loop
         # iteration, so it is valid only when nothing observes
         # individual steps.
         can_batch = not step_hooks and icache is None
@@ -656,33 +666,16 @@ class Simulator:
         interp_insts = 0
         cache_insts = 0
 
-        region: Optional[Region] = None  # None => interpreting
-        cur_table = None
-        cur_is_trace = False
-        trace_position = 0
+        # The walk table of the region being walked, None while
+        # interpreting; its region and its locals are bound when the
+        # walk starts.
+        cur_table: Optional[WalkTable] = None
+        region: Optional[Region] = None
         walk_insts = 0  # current region stint, flushed on region change
-        # Trace walk-table locals, rebound at each region entry.
-        path: Tuple[BasicBlock, ...] = ()
-        path_len = 0
-        path0: Optional[BasicBlock] = None
-        wt_deciders: List[object] = []
-        wt_counts: Tuple[int, ...] = ()
-        run_len: Tuple[int, ...] = ()
-        run_insts: Tuple[int, ...] = ()
-        run_hits: List[int] = []
-        adv: List[int] = []
-        cyc: List[int] = []
-        dyn_exit: Tuple[bool, ...] = ()
-        link_taken: List[object] = []
-        link_fall: List[object] = []
-        # CFG walk-table locals, likewise.
-        cur_records: Dict[BasicBlock, list] = {}
-        cur_blocks: FrozenSet[BasicBlock] = frozenset()
-        cur_entry: Optional[BasicBlock] = None
 
         try:
             while block is not None and steps < max_steps:
-                if region is None:
+                if cur_table is None:
                     # ---- interpreting ---------------------------------
                     steps += 1
                     bid = block.block_id
@@ -769,30 +762,8 @@ class Simulator:
                                 # chose not to install.
                                 entered_table = dispatch.table_for(entered)
                         if entered_table is not None:
-                            region = entered_table.region
                             cur_table = entered_table
-                            cur_is_trace = entered_table.is_trace
-                            trace_position = 0
-                            walk_insts = 0
-                            if cur_is_trace:
-                                path = entered_table.path
-                                path_len = entered_table.path_len
-                                path0 = entered_table.path0
-                                wt_deciders = entered_table.deciders
-                                wt_counts = entered_table.counts
-                                run_len = entered_table.run_len
-                                run_insts = entered_table.run_insts
-                                run_hits = entered_table.run_hits
-                                adv = entered_table.adv
-                                cyc = entered_table.cyc
-                                dyn_exit = entered_table.dyn_exit
-                                link_taken = entered_table.link_taken
-                                link_fall = entered_table.link_fall
-                            else:
-                                cur_records = entered_table.records
-                                cur_blocks = entered_table.blocks
-                                cur_entry = entered_table.entry
-                            region.entry_count += 1
+                            entered_table.region.entry_count += 1
                             stats.cache_entries += 1
                             if profiled:
                                 prof_switch("cache_walk")
@@ -801,38 +772,45 @@ class Simulator:
                                     "cache_entered",
                                     steps,
                                     entry=target.full_label,
-                                    order=region.selection_order,
+                                    order=entered_table.region.selection_order,
                                 )
                     block = target
                     continue
 
                 # ---- executing in the cache ---------------------------
-                if cur_is_trace:
-                    pos = trace_position
+                # Bind the walk table's locals once per region stint.
+                region = cur_table.region
+                pos = entry_pos = cur_table.entry_pos
+                w_deciders = cur_table.deciders
+                w_counts = cur_table.counts
+                next_taken = cur_table.next_taken
+                next_fall = cur_table.next_fall
+                taken_hits = cur_table.taken_hits
+                fall_hits = cur_table.fall_hits
+                run_len = cur_table.run_len
+                run_end = cur_table.run_end
+                run_insts = cur_table.run_insts
+                run_hits = cur_table.run_hits
+                while steps < max_steps:
                     if can_batch:
                         span = run_len[pos]
                         if span:
                             remaining = max_steps - steps
                             if span <= remaining:
-                                batch_insts = run_insts[pos]
                                 run_hits[pos] += 1
+                                walk_insts += run_insts[pos]
+                                pos = run_end[pos]
                             else:
-                                # The step budget ends inside the span:
-                                # consume only what fits, recording the
-                                # walked edges position by position.
+                                # The step budget ends inside the run:
+                                # walk only what fits.
                                 span = remaining
-                                batch_insts = 0
-                                for i in range(pos, pos + span):
-                                    batch_insts += wt_counts[i]
-                                    adv[i] += 1
+                                pos, batch_insts = cur_table.advance(
+                                    pos, span)
+                                walk_insts += batch_insts
                             steps += span
-                            walk_insts += batch_insts
-                            pos += span
-                            trace_position = pos
-                            block = path[pos]
                             continue
                     steps += 1
-                    decide = wt_deciders[pos]
+                    decide = w_deciders[pos]
                     if decide.__class__ is tuple:
                         taken, target = decide
                     else:
@@ -845,66 +823,39 @@ class Simulator:
                         stats.cache_instructions = cache_insts + walk_insts
                         for hook in step_hooks:
                             hook.on_step(steps)
-                    walk_insts += wt_counts[pos]
+                    walk_insts += w_counts[pos]
                     if icache is not None:
                         base_addr = region.cache_address
                         if base_addr is not None:
-                            icache.touch(
-                                base_addr + cur_table.offsets[pos],
-                                cur_table.sizes[pos])
-                    # Inlined TraceRegion.position_after, with the
-                    # stay-in-trace edges batched by position.
-                    next_position = pos + 1
-                    if (next_position < path_len
-                            and target is path[next_position]):
-                        adv[pos] += 1
-                        trace_position = next_position
-                        block = target
-                        continue
-                    if taken and target is path0:
-                        cyc[pos] += 1
+                            icache.touch(base_addr + cur_table.offsets[pos],
+                                         cur_table.sizes[pos])
+                    # The region's stay rule, compiled: the position the
+                    # transfer stays on, with its walked edge batched.
+                    if taken:
+                        stay = next_taken[pos]
+                        if stay >= 0:
+                            taken_hits[pos] += 1
+                        elif stay == DYNAMIC:
+                            slot = cur_table.targets[pos].get(target)
+                            if slot is None:
+                                break
+                            slot[1] += 1
+                            stay = slot[0]
+                        else:
+                            break
+                    else:
+                        stay = next_fall[pos]
+                        if stay < 0:
+                            break
+                        fall_hits[pos] += 1
+                    if stay == entry_pos:
                         region.cycle_backs += 1
-                        trace_position = 0
-                        block = target
-                        continue
+                    pos = stay
                 else:
-                    rec = cur_records[block]
-                    steps += 1
-                    decide = rec[0]  # REC_DECIDE
-                    if decide.__class__ is tuple:
-                        taken, target = decide
-                    else:
-                        taken, target = decide(steps)
-                    if step_hooks:
-                        cache.now = steps
-                        stats.interp_steps = interp_steps
-                        stats.interp_instructions = interp_insts
-                        stats.cache_steps = steps - 1 - interp_steps
-                        stats.cache_instructions = cache_insts + walk_insts
-                        for hook in step_hooks:
-                            hook.on_step(steps)
-                    walk_insts += rec[1]  # REC_COUNT
-                    if icache is not None:
-                        base_addr = region.cache_address
-                        if base_addr is not None:
-                            icache.touch(
-                                base_addr + rec[3], rec[4])  # OFFSET, SIZE
-                    # Inlined CFGRegion.stays_internal: a taken transfer
-                    # checks the block's stay set (observed-edge targets
-                    # for dynamic blocks, the whole region otherwise).
-                    if target is not None and (
-                            (target in rec[2])  # REC_STAY
-                            if taken else (target in cur_blocks)):
-                        edge = (block, target)
-                        prior = edge_get(edge)
-                        edge_profile[edge] = (
-                            1 if prior is None else prior + 1)
-                        if target is cur_entry:
-                            region.cycle_backs += 1
-                        block = target
-                        continue
+                    break  # the step budget ran out inside the region
 
                 # ---- the transfer leaves the region -------------------
+                block = cur_table.blocks[pos]
                 if target is not None:
                     edge = (block, target)
                     prior = edge_get(edge)
@@ -914,7 +865,7 @@ class Simulator:
                 cache_insts += walk_insts
                 walk_insts = 0
                 if target is None:
-                    region = None
+                    cur_table = region = None
                     if profiled:
                         prof_switch("interpret")
                     block = target
@@ -923,46 +874,17 @@ class Simulator:
                 # target (dynamic targets consult flat residency): holds
                 # the linked region's walk table exactly while that
                 # region is resident.
-                if cur_is_trace:
-                    if dyn_exit[pos]:
-                        linked_table = tables_by_entry[target.block_id]
-                    elif taken:
-                        linked_table = link_taken[pos]
-                    else:
-                        linked_table = link_fall[pos]
+                if not taken:
+                    linked_table = cur_table.link_fall[pos]
+                elif next_taken[pos] == DYNAMIC:
+                    linked_table = tables_by_entry[target.block_id]
                 else:
-                    if rec[7]:  # REC_DYNAMIC
-                        linked_table = tables_by_entry[target.block_id]
-                    elif taken:
-                        linked_table = rec[5]  # REC_LINK_TAKEN
-                    else:
-                        linked_table = rec[6]  # REC_LINK_FALL
+                    linked_table = cur_table.link_taken[pos]
                 if linked_table is not None:
                     # A linked exit stub: direct region-to-region jump.
                     stats.region_transitions += 1
-                    region = linked_table.region
                     cur_table = linked_table
-                    cur_is_trace = linked_table.is_trace
-                    trace_position = 0
-                    if cur_is_trace:
-                        path = linked_table.path
-                        path_len = linked_table.path_len
-                        path0 = linked_table.path0
-                        wt_deciders = linked_table.deciders
-                        wt_counts = linked_table.counts
-                        run_len = linked_table.run_len
-                        run_insts = linked_table.run_insts
-                        run_hits = linked_table.run_hits
-                        adv = linked_table.adv
-                        cyc = linked_table.cyc
-                        dyn_exit = linked_table.dyn_exit
-                        link_taken = linked_table.link_taken
-                        link_fall = linked_table.link_fall
-                    else:
-                        cur_records = linked_table.records
-                        cur_blocks = linked_table.blocks
-                        cur_entry = linked_table.entry
-                    region.entry_count += 1
+                    linked_table.region.entry_count += 1
                     block = target
                     continue
                 # Exit to the interpreter; the exit target becomes a
@@ -970,7 +892,7 @@ class Simulator:
                 # that installs and immediately enters a new region.
                 stats.cache_exits += 1
                 exited_region = region
-                region = None
+                cur_table = region = None
                 cache.now = steps
                 if profiled:
                     prof_switch("interpret")
@@ -989,32 +911,9 @@ class Simulator:
                     prof_exit()
                 else:
                     on_cache_exit(step, exited_region)
-                installed_table = tables_by_entry[target.block_id]
-                if installed_table is not None:
-                    region = installed_table.region
-                    cur_table = installed_table
-                    cur_is_trace = installed_table.is_trace
-                    trace_position = 0
-                    walk_insts = 0
-                    if cur_is_trace:
-                        path = installed_table.path
-                        path_len = installed_table.path_len
-                        path0 = installed_table.path0
-                        wt_deciders = installed_table.deciders
-                        wt_counts = installed_table.counts
-                        run_len = installed_table.run_len
-                        run_insts = installed_table.run_insts
-                        run_hits = installed_table.run_hits
-                        adv = installed_table.adv
-                        cyc = installed_table.cyc
-                        dyn_exit = installed_table.dyn_exit
-                        link_taken = installed_table.link_taken
-                        link_fall = installed_table.link_fall
-                    else:
-                        cur_records = installed_table.records
-                        cur_blocks = installed_table.blocks
-                        cur_entry = installed_table.entry
-                    region.entry_count += 1
+                cur_table = tables_by_entry[target.block_id]
+                if cur_table is not None:
+                    cur_table.region.entry_count += 1
                     stats.cache_entries += 1
                     if profiled:
                         prof_switch("cache_walk")
@@ -1023,7 +922,7 @@ class Simulator:
                             "cache_entered",
                             steps,
                             entry=target.full_label,
-                            order=region.selection_order,
+                            order=cur_table.region.selection_order,
                         )
                 block = target
         finally:
@@ -1039,10 +938,10 @@ class Simulator:
             engine.instructions_executed = interp_insts + cache_insts
             cache.unbind_dispatch()
 
-        # Fold the position-batched trace-walk edges into the shared
+        # Fold the position-batched walked edges into the shared
         # profile (covers every table compiled this run, including
         # tables of regions evicted mid-run).
-        for table in dispatch.trace_tables:
+        for table in dispatch.tables:
             table.fold_edges(edge_profile)
         return steps
 

@@ -8,6 +8,12 @@ Two properties anchor the layer:
   evictions and flushes, every registered link slot holds exactly the
   walk table of the region resident at its target — never a dangling
   table (``DispatchTable.check_invariants``).
+
+One walk table serves both region kinds, so the fused walk is held to
+the reference state machine on the CFG shapes traces never have:
+static runs that a step budget cuts, static cycles that avoid the
+entry, dynamic transfers that stay only along observed edges, and
+evicted regions whose walked edges must still reach the profile.
 """
 
 from __future__ import annotations
@@ -16,11 +22,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.behavior.models import LoopTrip, RoundRobinIndirect
 from repro.cache.codecache import BoundedCodeCache, CodeCache
-from repro.cache.dispatch import BlockInterner, DispatchTable
+from repro.cache.dispatch import DYNAMIC, BlockInterner, DispatchTable, WalkTable
+from repro.cache.region import CFGRegion, TraceRegion
+from repro.config import SystemConfig
 from repro.errors import CacheError
 from repro.execution.engine import ExecutionEngine
 from repro.metrics.linking import _direct_exit_targets
+from repro.metrics.summary import MetricReport
+from repro.program.builder import ProgramBuilder
+from repro.selection.base import RegionSelector
+from repro.selection.registry import SELECTOR_FACTORIES
 from repro.system.simulator import simulate
 from repro.workloads import build_benchmark
 from repro.workloads.micro import build_micro
@@ -55,6 +68,125 @@ def chain_regions(chain_program):
     regions = result.regions
     assert len(regions) >= 10
     return regions
+
+
+@pytest.fixture(scope="module")
+def cfg_regions(chain_program):
+    """Every region trace combination selects on the chain."""
+    regions = simulate(chain_program, "combined-net", seed=1).regions
+    assert regions and not any(region.is_trace for region in regions)
+    return regions
+
+
+def _static_cycle_program(back_to="A"):
+    """E falls into A, A jumps to B and B jumps back to ``back_to``,
+    forever: a cycle of constant decisions that avoids the entry E, or
+    (``back_to="E"``) one through it."""
+    pb = ProgramBuilder("static_cycle", entry="main")
+    main = pb.procedure("main")
+    main.block("S", insts=1).jump("E")
+    main.block("E", insts=2).fallthrough()
+    main.block("A", insts=3).jump("B")
+    main.block("B", insts=1).jump(back_to)
+    return pb.build()
+
+
+def _static_cycle_regions(program):
+    block = program.block_by_full_label
+    return [CFGRegion(block("main:E"),
+                      [block("main:E"), block("main:A"), block("main:B")],
+                      [])]
+
+
+def _observed_edges_program():
+    """E's indirect jump cycles over T1, T2 and T3; T1 and T2 call R,
+    whose return goes back to C1 or C2; every path loops back to E."""
+    pb = ProgramBuilder("observed_edges", entry="main")
+    helper = pb.procedure("helper")
+    helper.block("R", insts=2).ret()
+    main = pb.procedure("main")
+    main.block("S", insts=1).jump("E")
+    main.block("E", insts=2).indirect(["T1", "T2", "T3"],
+                                      model=RoundRobinIndirect())
+    main.block("T1", insts=1).call("helper")
+    main.block("C1", insts=1).jump("L")
+    main.block("T2", insts=1).call("helper")
+    main.block("C2", insts=1).jump("L")
+    main.block("T3", insts=3).jump("L")
+    main.block("L", insts=1).cond("E", model=LoopTrip(60))
+    main.block("done", insts=1).halt()
+    return pb.build()
+
+
+def _observed_edges_regions(program):
+    """A CFG region over everything but T3 that observed E->T1, E->T2
+    and R->C1 only (E->T3 and R->C2 leave it), plus a trace at T3."""
+    block = program.block_by_full_label
+    e, r = block("main:E"), block("helper:R")
+    t1, t2 = block("main:T1"), block("main:T2")
+    cfg = CFGRegion(
+        e,
+        [e, t1, block("main:C1"), t2, block("main:C2"), block("main:L"), r],
+        [(e, t1), (e, t2), (r, block("main:C1"))],
+    )
+    return [cfg, TraceRegion([block("main:T3"), block("main:L")])]
+
+
+class _FixedRegions(RegionSelector):
+    """Installs hand-built regions at the first taken branch, then
+    enters whichever one a branch targets."""
+
+    name = "fixed-regions"
+
+    def __init__(self, cache, config, regions):
+        super().__init__(cache, config)
+        self._regions = regions
+
+    def on_interpreted_taken(self, step):
+        for region in self._regions:
+            self.cache.insert(region)
+        self._regions = ()
+        return self.cache.lookup(step.target)
+
+    @property
+    def peak_counters(self):
+        return 0
+
+
+@pytest.fixture
+def fixed_regions(monkeypatch):
+    """Register ``fixed-regions`` for a program: each simulation gets
+    fresh regions from ``make_regions(program)``."""
+
+    def register(make_regions):
+        monkeypatch.setitem(
+            SELECTOR_FACTORIES, "fixed-regions",
+            lambda cache, config, program: _FixedRegions(
+                cache, config, make_regions(program)))
+        return "fixed-regions"
+
+    return register
+
+
+def _fingerprint(result):
+    """Everything a run measures, in comparable form."""
+    return (
+        MetricReport.from_result(result),
+        {name: getattr(result.stats, name)
+         for name in result.stats.__slots__},
+        result.edge_profile,
+        [(r.entry_count, r.exit_count, r.cycle_backs,
+          r.executed_instructions) for r in result.regions],
+    )
+
+
+def _agree(program, selector, **kwargs):
+    """Run the fused loop and the reference; assert they agree and
+    return the fused result."""
+    fast = simulate(program, selector, fast=True, **kwargs)
+    ref = simulate(program, selector, fast=False, **kwargs)
+    assert _fingerprint(fast) == _fingerprint(ref)
+    return fast
 
 
 class TestInterner:
@@ -159,24 +291,70 @@ class TestLinkInvariants:
 
 
 class TestWalkTables:
-    def test_static_runs_are_sound(self, chain_program, chain_regions):
+    def test_static_runs_are_sound(self, chain_program, chain_regions,
+                                   cfg_regions):
         dispatch = DispatchTable(chain_program, _decider_for(chain_program))
-        for region in chain_regions:
-            if not region.is_trace:
-                continue
+        runs = {True: 0, False: 0}
+        for region in list(chain_regions) + list(cfg_regions):
             table = dispatch.compile(region)
-            n = table.path_len
-            assert table.run_len[n - 1] == 0  # last position never advances
-            for i in range(n):
-                span = table.run_len[i]
-                assert 0 <= span <= n - 1 - i
-                if span:
-                    decide = table.deciders[i]
+            for i, span in enumerate(table.run_len):
+                runs[region.is_trace] += bool(span)
+                # The run follows constant decisions, each staying on
+                # its target's position and never moving onto the entry.
+                pos = i
+                insts = 0
+                for _ in range(span):
+                    decide = table.deciders[pos]
                     assert isinstance(decide, tuple)
-                    assert decide[1] is table.path[i + 1]
-                    assert table.run_insts[i] == sum(
-                        table.counts[i:i + span]
-                    )
+                    taken, target = decide
+                    stay = (table.next_taken if taken
+                            else table.next_fall)[pos]
+                    assert stay >= 0 and stay != table.entry_pos
+                    assert table.blocks[stay] is target
+                    insts += table.counts[pos]
+                    pos = stay
+                assert table.run_end[i] == pos
+                assert table.run_insts[i] == insts
+        assert runs[True] and runs[False]
+
+    def test_cycles_that_avoid_the_entry_are_cut(self):
+        program = _static_cycle_program()
+        (region,) = _static_cycle_regions(program)
+        table = DispatchTable(program, _decider_for(program)).compile(region)
+        pos = {block.label: i for i, block in enumerate(table.blocks)}
+        e, a, b = pos["E"], pos["A"], pos["B"]
+        assert table.entry_pos == e
+        # A -> B -> A is one lap that lands back on A; E's run leads
+        # into it and lands on A too.
+        assert (table.run_len[a], table.run_end[a]) == (2, a)
+        assert (table.run_len[b], table.run_end[b]) == (1, a)
+        assert (table.run_len[e], table.run_end[e]) == (3, a)
+        assert table.run_insts[e] == 2 + 3 + 1
+
+    def test_runs_stop_before_the_entry(self):
+        program = _static_cycle_program(back_to="E")
+        (region,) = _static_cycle_regions(program)
+        table = DispatchTable(program, _decider_for(program)).compile(region)
+        pos = {block.label: i for i, block in enumerate(table.blocks)}
+        # B's jump back to E is walked stepwise, so it counts a cycle.
+        assert table.run_len[pos["B"]] == 0
+        assert (table.run_len[pos["E"]], table.run_end[pos["E"]]) == (
+            2, pos["B"])
+
+    def test_dynamic_targets_map_only_the_targets_that_stay(self):
+        program = _observed_edges_program()
+        cfg, trace = _observed_edges_regions(program)
+        dispatch = DispatchTable(program, _decider_for(program))
+        table = dispatch.compile(cfg)
+        pos = {block.label: i for i, block in enumerate(table.blocks)}
+        for label, stays in (("E", ("T1", "T2")), ("R", ("C1",))):
+            assert table.next_taken[pos[label]] == DYNAMIC
+            slots = table.targets[pos[label]]
+            assert {t.label: slot[0] for t, slot in slots.items()} == {
+                name: pos[name] for name in stays}
+        # A trace's return or indirect jump stays on the next path
+        # block or the top; T3's jump is direct.
+        assert dispatch.compile(trace).targets == (None, None)
 
     def test_table_for_falls_back_to_fresh_compile(self, chain_program,
                                                    chain_regions):
@@ -189,10 +367,74 @@ class TestWalkTables:
         assert dispatch.table_for(region) is installed
 
     def test_deciders_are_shared_with_the_source(self, chain_program,
-                                                 chain_regions):
+                                                 chain_regions, cfg_regions):
         decider_for = _decider_for(chain_program)
         dispatch = DispatchTable(chain_program, decider_for)
-        region = next(r for r in chain_regions if r.is_trace)
-        table = dispatch.compile(region)
-        for position, block in enumerate(table.path):
-            assert table.deciders[position] is decider_for(block)
+        for region in (chain_regions[0], cfg_regions[0]):
+            table = dispatch.compile(region)
+            for position, block in enumerate(table.blocks):
+                assert table.deciders[position] is decider_for(block)
+
+
+class TestFusedWalkAgrees:
+    """The fused walk against the reference state machine on the CFG
+    shapes the one walk table must get right."""
+
+    def test_budget_ending_inside_a_cfg_static_run(self, monkeypatch):
+        program = build_benchmark("gzip", scale=0.05)
+        cut = []
+        advance = WalkTable.advance
+
+        def spy(self, pos, span, hits=1):
+            if span < self.run_len[pos]:
+                cut.append(self.region.is_trace)
+            return advance(self, pos, span, hits)
+
+        monkeypatch.setattr(WalkTable, "advance", spy)
+        for selector in ("combined-net", "combined-lei"):
+            for max_steps in range(3000, 3040):
+                _agree(program, selector, seed=1, max_steps=max_steps)
+        assert False in cut
+
+    @pytest.mark.parametrize("sample_every", (None, 5))
+    @pytest.mark.parametrize("back_to", ("A", "E"))
+    def test_static_cycle(self, fixed_regions, back_to, sample_every):
+        program = _static_cycle_program(back_to)
+        selector = fixed_regions(_static_cycle_regions)
+        for max_steps in range(1, 25):
+            result = _agree(program, selector, max_steps=max_steps,
+                            sample_every=sample_every)
+        (region,) = result.regions
+        assert region.exit_count == 0
+        assert result.stats.cache_steps == 24 - 1
+        # The entry is re-entered every third step only through E.
+        assert region.cycle_backs == (0 if back_to == "A" else 7)
+
+    def test_dynamic_transfers_stay_along_observed_edges(self,
+                                                         fixed_regions):
+        program = _observed_edges_program()
+        result = _agree(program, fixed_regions(_observed_edges_regions))
+        block = program.block_by_full_label
+        profile = result.edge_profile
+        cfg, trace = result.regions
+        # Both observed edges were walked, both unobserved ones left
+        # the region: E->T3 through residency into the trace at T3,
+        # R->C2 to the interpreter.
+        for src, dst in (("main:E", "main:T1"), ("main:E", "main:T2"),
+                         ("helper:R", "main:C1"), ("main:E", "main:T3"),
+                         ("helper:R", "main:C2")):
+            assert profile[(block(src), block(dst))] == 20
+        assert cfg.cycle_backs and cfg.exit_count and trace.entry_count
+        assert result.stats.region_transitions >= 20
+
+    def test_evicted_cfg_regions_fold_their_walked_edges(self):
+        program = build_benchmark("gzip", scale=0.05)
+        config = SystemConfig(cache_capacity_bytes=300,
+                              cache_eviction_policy="fifo")
+        for selector in ("combined-net", "combined-lei"):
+            result = _agree(program, selector, config=config, seed=0)
+            resident = set(map(id, result.cache.resident_regions))
+            evicted = [region for region in result.regions
+                       if id(region) not in resident]
+            assert any(not region.is_trace and region.executed_instructions
+                       for region in evicted)
