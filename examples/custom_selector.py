@@ -22,7 +22,6 @@ from typing import Optional
 
 from repro import CFGRegion, SystemConfig, simulate
 from repro.cache.codecache import CodeCache
-from repro.execution.events import Step
 from repro.program.cfg import BasicBlock
 from repro.program.program import Program
 from repro.selection.base import RegionSelector
@@ -55,8 +54,8 @@ class WholeMethodSelector(RegionSelector):
         ]
         self.cache.insert(CFGRegion(entry, blocks, edges))
 
-    def on_interpreted_taken(self, step: Step):
-        target = step.target
+    def on_interpreted_taken(self, block: BasicBlock, taken: bool,
+                             target: Optional[BasicBlock]):
         if target is None or target.procedure is None:
             return None
         entry = target.procedure.entry

@@ -8,8 +8,8 @@ loop and into a one-time compilation pass at install time — mirroring
 how a Dynamo-style system copies, links and patches cache-resident
 code *once* and then executes it without consulting its own tables:
 
-* :class:`BlockInterner` — every basic block is interned to its dense
-  ``block_id`` at program load, so all hot lookups index flat lists
+* Dense block ids — finalizing a program numbers its blocks in layout
+  order (``BasicBlock.block_id``), so all hot lookups index flat lists
   instead of hashing dict keys (residency, deciders, walk tables).
 * :class:`WalkTable` — one immutable, position-indexed walk table per
   installed region of either kind (a trace's path positions, a CFG
@@ -52,45 +52,6 @@ from repro.program.program import Program
 DYNAMIC = -2
 
 _DIRECT_TAKEN_KINDS = (BranchKind.COND, BranchKind.JUMP, BranchKind.CALL)
-
-
-class BlockInterner:
-    """Dense integer ids for every block of one finalized program.
-
-    Finalization already stamps each block with a dense ``block_id``
-    (layout order); the interner validates that density once and then
-    serves as the authority for flat, id-indexed tables.  ``id_of`` /
-    ``block_of`` round-trip exactly — the property suite in
-    ``tests/test_dispatch.py`` holds the bijection.
-    """
-
-    __slots__ = ("program", "blocks", "size")
-
-    def __init__(self, program: Program) -> None:
-        blocks = tuple(program.blocks)
-        for index, block in enumerate(blocks):
-            if block.block_id != index:
-                raise CacheError(
-                    f"block {block.full_label} carries id {block.block_id} "
-                    f"but sits at index {index}; ids must be dense layout "
-                    f"order (finalize the program first)"
-                )
-        self.program = program
-        self.blocks = blocks
-        self.size = len(blocks)
-
-    def id_of(self, block: BasicBlock) -> int:
-        """The block's dense id, verifying it belongs to this program."""
-        bid = block.block_id
-        if bid is None or bid >= self.size or self.blocks[bid] is not block:
-            raise CacheError(
-                f"block {block.full_label} is not interned in program "
-                f"{self.program.name!r}"
-            )
-        return bid
-
-    def block_of(self, block_id: int) -> BasicBlock:
-        return self.blocks[block_id]
 
 
 class _LinkSite:
@@ -306,7 +267,7 @@ class DispatchTable:
     One instance serves one run of the fused fast path: the simulator
     binds it to the code cache before the loop starts, the cache calls
     :meth:`install` / :meth:`retire` as regions come and go, and the
-    walker reads ``tables_by_entry`` (a flat list indexed by interned
+    walker reads ``tables_by_entry`` (a flat list indexed by dense
     block id — the HASH-LOOKUP of Figures 5/13 reduced to one list
     index) plus the per-table link slots.
 
@@ -321,12 +282,11 @@ class DispatchTable:
         program: Program,
         decider_for: Callable[[BasicBlock], object],
     ) -> None:
-        self.interner = BlockInterner(program)
         self.decider_for = decider_for
         #: Flat residency: entry block id -> walk table of the resident
         #: region entered there, ``None`` when nothing is resident.
         self.tables_by_entry: List[Optional[WalkTable]] = (
-            [None] * self.interner.size
+            [None] * len(program.blocks)
         )
         #: Every walk table compiled this run, for edge folding (tables
         #: of evicted regions keep their walked-edge counts).

@@ -7,12 +7,15 @@ for its terminating branch the source and target addresses and whether
 it was taken.  Source/target addresses are derived from the blocks
 rather than stored, keeping the event small.
 
-:class:`Step` is a ``__slots__`` record rather than a ``NamedTuple``:
-hundreds of thousands of instances are created per run on the reference
-(generator) pipeline, and the fused fast path
-(:meth:`~repro.system.simulator.Simulator.run_program`) creates them
-only where a selector needs one — interpreted steps and cache exits —
-so the record must stay as lean as possible.
+:class:`Step` is the record of a *pulled* stream
+(:meth:`ExecutionEngine.run
+<repro.execution.engine.ExecutionEngine.run>`, trace replay, the JSONL
+reader, :meth:`Simulator.run
+<repro.system.simulator.Simulator.run>`).  It is a ``__slots__``
+record rather than a ``NamedTuple`` because hundreds of thousands of
+instances are created per pulled run.  Selectors never see one: their
+callbacks take the ``(block, taken, target)`` fields directly, so the
+fused fast path and the push feed build no ``Step`` at all.
 """
 
 from __future__ import annotations

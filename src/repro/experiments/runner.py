@@ -28,25 +28,25 @@ from repro.system.simulator import simulate
 from repro.workloads import benchmark_names, build_benchmark
 
 
-def _grid_cell(
-    task: Tuple[str, str, float, int, SystemConfig, bool]
-) -> Tuple[str, str, MetricReport]:
-    """Worker: simulate one cell (runs in a job-engine worker process).
+def grid_cell(task: Tuple[str, str, float, int, SystemConfig]) -> MetricReport:
+    """Job-engine worker: simulate one ``(benchmark, selector, scale,
+    seed, config)`` cell, in-process or in a worker process.
 
-    Builds the program inside the worker — programs hold plain model
-    objects and are cheap to rebuild, while shipping them across
-    processes would be slower than rebuilding.  The cell records into
-    the process-local worker observer when the engine activated one
+    The grid and the service both run their cells through it.
+    Module-level so it pickles under spawn contexts.  Builds the
+    program inside the worker — programs hold plain model objects and
+    are cheap to rebuild, while shipping them across processes would be
+    slower than rebuilding.  The cell records into the process-local
+    worker observer when the engine activated one
     (``run_grid(telemetry=True)``); otherwise ``worker_observer()`` is
     the null observer and the simulation runs uninstrumented.
     """
-    bench, selector, scale, seed, config, fast = task
+    bench, selector, scale, seed, config = task
     program = build_benchmark(bench, scale=scale)
-    report = MetricReport.from_result(
-        simulate(program, selector, config, seed=seed, fast=fast,
+    return MetricReport.from_result(
+        simulate(program, selector, config, seed=seed,
                  observer=worker_observer())
     )
-    return bench, selector, report
 
 
 @dataclass
@@ -87,7 +87,6 @@ def run_grid(
     backoff: float = 0.05,
     faults: Optional[FaultInjector] = None,
     code_version: Optional[str] = None,
-    fast: bool = True,
     telemetry: bool = False,
     telemetry_out: Optional[str] = None,
     telemetry_ring: Optional[int] = None,
@@ -111,11 +110,6 @@ def run_grid(
     (selectors, benchmarks, seed, scale, config, git SHA, elapsed time)
     into that directory once the grid completes.  ``faults`` injects
     deterministic worker failures (tests only).
-
-    ``fast=False`` pins every cell to the reference state machine
-    instead of the fused fast path; the results are
-    bit-identical either way (``tests/test_fast_path.py``), so this
-    exists purely for debugging and cross-checking.
 
     ``telemetry=True`` records every cell's metrics, span profile and
     event tail inside its worker and merges the reports in the parent
@@ -165,18 +159,17 @@ def run_grid(
 
     if missing:
         jobs = [
-            Job(f"{bench}:{selector}",
-                (bench, selector, scale, seed, config, fast))
+            Job(f"{bench}:{selector}", (bench, selector, scale, seed, config))
             for bench, selector in missing
         ]
         cell_by_job = {job.job_id: cell for job, cell in zip(jobs, missing)}
 
-        def persist(job_id: str, result: Tuple[str, str, MetricReport]) -> None:
+        def persist(job_id: str, report: MetricReport) -> None:
             if store is not None:
-                store.put(keys[cell_by_job[job_id]], result[2])
+                store.put(keys[cell_by_job[job_id]], report)
 
         engine = JobEngine(
-            _grid_cell,
+            grid_cell,
             workers=min(workers, len(jobs)),
             timeout=job_timeout,
             max_retries=max_retries,
@@ -188,8 +181,7 @@ def run_grid(
         )
         outcomes = engine.run(jobs)
         for job in jobs:
-            bench, selector, report = outcomes[job.job_id].result
-            reports[(bench, selector)] = report
+            reports[cell_by_job[job.job_id]] = outcomes[job.job_id].result
 
     # Fill in cell order, so grid iteration matches the serial runner
     # exactly no matter which cells were cached or computed first.

@@ -1,7 +1,8 @@
 """Region-selection algorithms: the paper's primary contribution.
 
-Three selectors are provided, all implementing the common
-:class:`~repro.selection.base.RegionSelector` interface:
+Every selector implements the common
+:class:`~repro.selection.base.RegionSelector` interface, whose
+callbacks take the transfer ``(block, taken, target)``:
 
 * :class:`~repro.selection.net.NETSelector` — Next-Executing Tail
   (Duesterwald & Bala), the Dynamo/DynamoRIO/Mojo baseline of
@@ -9,14 +10,17 @@ Three selectors are provided, all implementing the common
 * :class:`~repro.selection.lei.LEISelector` — Last-Executed Iteration
   (Section 3, Figures 5-6): cyclic trace selection from a branch
   history buffer.
-* :class:`~repro.selection.combining.CombiningSelector` — trace
-  combination (Section 4, Figures 13-15), a wrapper applicable to both
-  NET and LEI, producing multi-path CFG regions.
+* :class:`~repro.selection.combining.CombinedNETSelector` and
+  :class:`~repro.selection.combining.CombinedLEISelector` — trace
+  combination (Section 4, Figures 13-15) over NET and LEI, producing
+  multi-path CFG regions.
+* :mod:`~repro.selection.related` — the Section 5 comparators Mojo,
+  BOA and Wiggins/Redstone.
 
 Use :func:`~repro.selection.registry.make_selector` (or the
 ``SELECTOR_FACTORIES`` registry) to construct the four configurations
 the paper evaluates: ``net``, ``lei``, ``combined-net``,
-``combined-lei``.
+``combined-lei`` (and ``mojo``, ``boa``, ``wiggins``).
 """
 
 from repro.selection.base import RegionSelector

@@ -18,16 +18,13 @@ branch).
 from __future__ import annotations
 
 import abc
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 from repro.cache.codecache import CodeCache
 from repro.cache.region import Region
-from repro.execution.events import Step
 from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.program.cfg import BasicBlock
 from repro.config import SystemConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 class RegionSelector(abc.ABC):
@@ -47,7 +44,14 @@ class RegionSelector(abc.ABC):
         self.obs: Observer = NULL_OBSERVER
 
     # -- simulator callbacks --------------------------------------------
-    def observe_interpreted(self, step: Step) -> None:
+    # Every callback takes the transfer that ended one executed block:
+    # ``block`` (all of its instructions ran), ``taken`` (a taken branch
+    # rather than a fall-through) and ``target`` (the block that runs
+    # next, ``None`` when the program ends).  Both simulator loops call
+    # them with the same arguments at the same steps.
+    def observe_interpreted(
+        self, block: BasicBlock, taken: bool, target: Optional[BasicBlock]
+    ) -> None:
         """Called for *every* interpreted step, taken or not.
 
         Recorders that copy the next-executing path (NET trace
@@ -57,7 +61,9 @@ class RegionSelector(abc.ABC):
         """
 
     @abc.abstractmethod
-    def on_interpreted_taken(self, step: Step) -> Optional[Region]:
+    def on_interpreted_taken(
+        self, block: BasicBlock, taken: bool, target: Optional[BasicBlock]
+    ) -> Optional[Region]:
         """An interpreted taken branch whose target is not cached.
 
         May install regions as a side effect.  Returning a region makes
@@ -65,7 +71,9 @@ class RegionSelector(abc.ABC):
         returning ``None`` keeps interpreting.
         """
 
-    def on_cache_enter(self, step: Step) -> None:
+    def on_cache_enter(
+        self, block: BasicBlock, taken: bool, target: Optional[BasicBlock]
+    ) -> None:
         """An interpreted taken branch just entered a cached region.
 
         Figure 5 lines 1-3 jump without profiling, so no counters move
@@ -76,8 +84,14 @@ class RegionSelector(abc.ABC):
         never executed.
         """
 
-    def on_cache_exit(self, step: Step, region: Region) -> None:
-        """Control left ``region`` to the interpreter via ``step``.
+    def on_cache_exit(
+        self,
+        block: BasicBlock,
+        taken: bool,
+        target: Optional[BasicBlock],
+        region: Region,
+    ) -> None:
+        """Control left ``region`` to the interpreter after ``block``.
 
         The exit target is a region-start candidate in both NET
         ("an exit from an existing trace") and LEI ("follows an exit
@@ -86,20 +100,6 @@ class RegionSelector(abc.ABC):
 
     def finish(self) -> None:
         """The stream ended; abandon any in-flight recording state."""
-
-    # -- optional raw fast hooks ----------------------------------------
-    # A selector may ship allocation-free variants of its step hooks
-    # under ``<hook>_raw``, taking the raw ``(block, taken, target)``
-    # triple instead of a ``Step`` record.  The fused fast path calls
-    # the raw variant when the class that provides the ``Step`` hook in
-    # the MRO also provides the raw one (so a subclass overriding just
-    # the ``Step`` hook is never bypassed); the reference pipeline
-    # always uses the ``Step`` hooks.  A raw variant must be
-    # behaviourally identical to its ``Step`` twin — the bit-identity
-    # suite in ``tests/test_fast_path.py`` holds the two pipelines
-    # equal over every (benchmark × selector) cell.
-    on_interpreted_taken_raw = None
-    on_cache_enter_raw = None
 
     # -- dispatch-compilation contract ----------------------------------
     # The fused fast path compiles every resident region into a flat
@@ -144,33 +144,14 @@ class RegionSelector(abc.ABC):
         return 0
 
 
-def _raw_hook(selector: RegionSelector, name: str):
-    """Resolve the selector's ``<name>_raw`` fast hook, if trustworthy.
-
-    The raw variant is used only when the class that provides the
-    ``Step``-taking hook in the MRO *also* provides the raw one: a
-    subclass that overrides just the ``Step`` hook must win, or the
-    fast path would silently bypass its override.
-    """
-    raw_name = name + "_raw"
-    for klass in type(selector).__mro__:
-        namespace = vars(klass)
-        if name in namespace or raw_name in namespace:
-            if name in namespace and raw_name in namespace:
-                return getattr(selector, raw_name)
-            return None
-    return None
-
-
 def fast_hooks(selector: RegionSelector) -> tuple:
     """The selector's callbacks as the fused loop calls them.
 
     Returns ``(observe_interpreted, on_cache_enter,
-    on_interpreted_taken, on_cache_exit, on_taken_raw, on_enter_raw)``.
-    The first two are ``None`` when the selector keeps the base-class
-    no-op, so callers skip both the call and the ``Step`` it would
-    take; the raw variants are ``None`` unless trustworthy
-    (:func:`_raw_hook`).
+    on_interpreted_taken, on_cache_exit)``.  The first two are ``None``
+    when the selector keeps the base-class no-op, so the fused loop
+    skips the call (e.g. LEI pays nothing per untaken interpreted
+    step).
     """
     base = RegionSelector
     observe = selector.observe_interpreted
@@ -184,6 +165,4 @@ def fast_hooks(selector: RegionSelector) -> tuple:
         enter,
         selector.on_interpreted_taken,
         selector.on_cache_exit,
-        _raw_hook(selector, "on_interpreted_taken"),
-        _raw_hook(selector, "on_cache_enter"),
     )

@@ -22,7 +22,6 @@ from typing import List, NamedTuple, Optional, Set, Tuple
 
 from repro.cache.codecache import CodeCache
 from repro.cache.region import Region, TraceRegion
-from repro.execution.events import Step
 from repro.program.cfg import BasicBlock
 from repro.selection.base import RegionSelector
 from repro.selection.counters import CounterTable
@@ -135,34 +134,7 @@ class LEISelector(RegionSelector):
         return self.threshold
 
     # ------------------------------------------------------------------
-    def on_interpreted_taken(self, step: Step) -> Optional[Region]:
-        return self._process_taken_branch(
-            step.block, step.taken, step.target, False)
-
-    def on_cache_enter(self, step: Step) -> None:
-        self.on_cache_enter_raw(step.block, step.taken, step.target)
-
-    def on_cache_enter_raw(
-        self, block: BasicBlock, taken: bool, target: Optional[BasicBlock]
-    ) -> None:
-        # Record the cache-entering branch as a plain history entry (no
-        # cycle detection, no counters — Figure 5 would have jumped at
-        # line 3).  This keeps the buffer gap-free: a later FORM-TRACE
-        # walk that reaches the entered region's head stops there via
-        # the existing-region check (Figure 6 line 7) instead of
-        # reconstructing a path across the cache stint.
-        if target is None:
-            return
-        self.buffer.record(block, target, follows_exit=False)
-
-    def on_cache_exit(self, step: Step, region: Region) -> None:
-        # The exiting branch enters the history buffer flagged as
-        # following a code-cache exit; a later cycle whose previous
-        # occurrence is this entry may then start a trace even if it
-        # closes with a forward branch ("grow from an existing trace").
-        self._process_taken_branch(step.block, step.taken, step.target, True)
-
-    def _process_taken_branch(
+    def on_interpreted_taken(
         self,
         block: BasicBlock,
         taken: bool,
@@ -177,10 +149,9 @@ class LEISelector(RegionSelector):
         if old is None:
             return None
         # Figure 5 line 9: can this cycle begin a trace?  The backward
-        # test is ``Step.is_backward`` inlined (the step is known taken
-        # with a non-None target on the first leg, so only the address
-        # compare remains; on-exit steps may be fall-throughs, hence
-        # the explicit ``taken`` check).
+        # test is the address compare for a taken branch with a target
+        # (on-exit transfers may be fall-throughs, hence the explicit
+        # ``taken`` check).
         if not (
             (taken and target.address <= block.end_address)
             or (old.follows_exit and self._allow_exit_cycles)
@@ -190,10 +161,33 @@ class LEISelector(RegionSelector):
             return None
         return self._select_at_threshold(target, old)
 
-    #: Fused-loop fast hook: ``on_interpreted_taken`` on the raw
-    #: ``(block, taken, target)`` triple, skipping the ``Step`` record
-    #: (see ``RegionSelector`` for the protocol).
-    on_interpreted_taken_raw = _process_taken_branch
+    def on_cache_enter(
+        self, block: BasicBlock, taken: bool, target: Optional[BasicBlock]
+    ) -> None:
+        # Record the cache-entering branch as a plain history entry (no
+        # cycle detection, no counters — Figure 5 would have jumped at
+        # line 3).  This keeps the buffer gap-free: a later FORM-TRACE
+        # walk that reaches the entered region's head stops there via
+        # the existing-region check (Figure 6 line 7) instead of
+        # reconstructing a path across the cache stint.
+        if target is None:
+            return
+        self.buffer.record(block, target, follows_exit=False)
+
+    def on_cache_exit(
+        self,
+        block: BasicBlock,
+        taken: bool,
+        target: Optional[BasicBlock],
+        region: Region,
+    ) -> None:
+        # The exiting branch enters the history buffer flagged as
+        # following a code-cache exit; a later cycle whose previous
+        # occurrence is this entry may then start a trace even if it
+        # closes with a forward branch ("grow from an existing trace").
+        # Called on the class: a subclass hook for interpreted branches
+        # must not see a cache exit.
+        LEISelector.on_interpreted_taken(self, block, taken, target, True)
 
     # ------------------------------------------------------------------
     def _select_at_threshold(

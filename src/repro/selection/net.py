@@ -25,7 +25,6 @@ from typing import List, Optional, Set
 
 from repro.cache.codecache import CodeCache
 from repro.cache.region import TraceRegion
-from repro.execution.events import Step
 from repro.isa.opcodes import BranchKind
 from repro.program.cfg import BasicBlock
 from repro.selection.base import RegionSelector
@@ -58,9 +57,15 @@ class TraceRecorder:
         #: ``trace_truncated`` event).
         self.truncated = False
 
-    def feed(self, step: Step, cache: CodeCache, config: SystemConfig) -> bool:
+    def feed(
+        self,
+        block: BasicBlock,
+        taken: bool,
+        target: Optional[BasicBlock],
+        cache: CodeCache,
+        config: SystemConfig,
+    ) -> bool:
         """Consume one interpreted step; return True when recording ends."""
-        block = step.block
         if not self.blocks and block is not self.head:
             # The stream diverged before the head executed (can only
             # happen if the triggering branch entered the cache after
@@ -70,29 +75,29 @@ class TraceRecorder:
         self.blocks.append(block)
         self.instructions += block.instruction_count
 
-        if step.target is None:
+        if target is None:
             # Program ended mid-trace; keep what we have.
             self.done = True
             return True
-        if step.taken:
-            backward_ends = step.is_backward and (
+        if taken:
+            backward_ends = target.address <= block.end_address and (
                 config.net_stop_at_backward_calls
                 or block.terminator.kind not in (BranchKind.CALL, BranchKind.RETURN)
                 # Even with the rule relaxed, a branch back to the
                 # trace's own head always ends it (the cycle is closed).
-                or step.target is self.head
+                or target is self.head
             )
-            if backward_ends or cache.contains_entry(step.target):
+            if backward_ends or cache.contains_entry(target):
                 # Trace ends *with* this block; the branch target tells
                 # us whether the trace closed its own cycle.
-                self.final_target = step.target
+                self.final_target = target
                 self.done = True
                 return True
         if (
             len(self.blocks) >= config.max_trace_blocks
             or self.instructions >= config.max_trace_instructions
         ):
-            self.final_target = step.target if step.taken else None
+            self.final_target = target if taken else None
             self.done = True
             self.truncated = True
             return True
@@ -121,30 +126,40 @@ class NETSelector(RegionSelector):
     def threshold(self) -> int:
         return self.config.net_threshold
 
-    def observe_interpreted(self, step: Step) -> None:
+    def observe_interpreted(
+        self, block: BasicBlock, taken: bool, target: Optional[BasicBlock]
+    ) -> None:
         if not self._recorders:
             return
         still_active: List[TraceRecorder] = []
         for recorder in self._recorders:
-            if recorder.feed(step, self.cache, self.config):
+            if recorder.feed(block, taken, target, self.cache, self.config):
                 self._complete_recording(recorder)
             else:
                 still_active.append(recorder)
         self._recorders = still_active
 
-    def on_interpreted_taken(self, step: Step):
-        target = step.target
+    def on_interpreted_taken(
+        self, block: BasicBlock, taken: bool, target: Optional[BasicBlock]
+    ):
         if target is None or target in self._recording_heads:
             return None
-        if step.is_backward:
+        # The branch is taken, so the backward test is the address
+        # compare alone.
+        if target.address <= block.end_address:
             self._eligible.add(target)
         elif target not in self._eligible:
             return None
         self._bump(target)
         return None
 
-    def on_cache_exit(self, step: Step, region) -> None:
-        target = step.target
+    def on_cache_exit(
+        self,
+        block: BasicBlock,
+        taken: bool,
+        target: Optional[BasicBlock],
+        region,
+    ) -> None:
         if target is None or target in self._recording_heads:
             return
         self._eligible.add(target)

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Set
 from repro.cache.codecache import CodeCache
 from repro.cache.region import Region, TraceRegion
 from repro.config import SystemConfig
-from repro.execution.events import Step
 from repro.isa.opcodes import BranchKind
 from repro.program.cfg import BasicBlock
 from repro.selection.base import RegionSelector
@@ -58,10 +57,16 @@ class MojoSelector(NETSelector):
         #: lower threshold).
         self._exit_targets: Set[BasicBlock] = set()
 
-    def on_cache_exit(self, step: Step, region: Region) -> None:
-        if step.target is not None:
-            self._exit_targets.add(step.target)
-        super().on_cache_exit(step, region)
+    def on_cache_exit(
+        self,
+        block: BasicBlock,
+        taken: bool,
+        target: Optional[BasicBlock],
+        region: Region,
+    ) -> None:
+        if target is not None:
+            self._exit_targets.add(target)
+        super().on_cache_exit(block, taken, target, region)
 
     def _bump(self, target: BasicBlock) -> None:
         threshold = (
@@ -84,12 +89,12 @@ class _DirectionProfile:
     def __init__(self) -> None:
         self._counts: Dict[BasicBlock, List[int]] = {}
 
-    def observe(self, step: Step) -> None:
-        if step.block.terminator.kind is BranchKind.COND:
-            counts = self._counts.get(step.block)
+    def observe(self, block: BasicBlock, taken: bool) -> None:
+        if block.terminator.kind is BranchKind.COND:
+            counts = self._counts.get(block)
             if counts is None:
-                counts = self._counts[step.block] = [0, 0]
-            counts[0 if step.taken else 1] += 1
+                counts = self._counts[block] = [0, 0]
+            counts[0 if taken else 1] += 1
 
     def likely_next(self, block: BasicBlock) -> Optional[BasicBlock]:
         """The statically-likelier successor, or None to end the trace."""
@@ -168,11 +173,14 @@ class BOASelector(RegionSelector):
         self.profile = _DirectionProfile()
         self.traces_installed = 0
 
-    def observe_interpreted(self, step: Step) -> None:
-        self.profile.observe(step)
+    def observe_interpreted(
+        self, block: BasicBlock, taken: bool, target: Optional[BasicBlock]
+    ) -> None:
+        self.profile.observe(block, taken)
 
-    def on_interpreted_taken(self, step: Step) -> Optional[Region]:
-        target = step.target
+    def on_interpreted_taken(
+        self, block: BasicBlock, taken: bool, target: Optional[BasicBlock]
+    ) -> Optional[Region]:
         if target is None:
             return None
         if self.counters.increment(target) < self.config.boa_threshold:
@@ -229,10 +237,12 @@ class WigginsRedstoneSelector(RegionSelector):
         #: selector's "counter" cost.
         self._peak_profiled = 0
 
-    def observe_interpreted(self, step: Step) -> None:
+    def observe_interpreted(
+        self, block: BasicBlock, taken: bool, target: Optional[BasicBlock]
+    ) -> None:
         self._interpreted_steps += 1
         if self._candidate is not None:
-            self.profile.observe(step)
+            self.profile.observe(block, taken)
             self._peak_profiled = max(
                 self._peak_profiled, 2 * self.profile.profiled_branches
             )
@@ -242,10 +252,10 @@ class WigginsRedstoneSelector(RegionSelector):
         elif self._interpreted_steps % self.config.sampling_period == 0:
             # Sample the "program counter": the block executing now.
             self.samples_taken += 1
-            if self.cache.contains_entry(step.block):
+            if self.cache.contains_entry(block):
                 self.samples_discarded += 1
             else:
-                self._candidate = step.block
+                self._candidate = block
                 self._window_remaining = self.config.sampling_window
 
     def _finish_window(self) -> None:
@@ -260,7 +270,9 @@ class WigginsRedstoneSelector(RegionSelector):
         )
         self.traces_installed += 1
 
-    def on_interpreted_taken(self, step: Step) -> Optional[Region]:
+    def on_interpreted_taken(
+        self, block: BasicBlock, taken: bool, target: Optional[BasicBlock]
+    ) -> Optional[Region]:
         return None  # all work happens in observe_interpreted
 
     def finish(self) -> None:

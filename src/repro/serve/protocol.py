@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Union, get_args, get_origin, get_type_hints
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError, ServeError
@@ -43,7 +44,20 @@ SOURCES = ("store", "coalesced", "computed")
 #: Top-level request fields accepted by ``POST /v1/simulate``.
 _REQUEST_FIELDS = ("benchmark", "selector", "scale", "seed", "config")
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(SystemConfig)}
+#: Each config field's declared type, read off ``SystemConfig`` itself.
+_CONFIG_TYPES = get_type_hints(SystemConfig)
+
+
+def _has_type(value: object, hint: object) -> bool:
+    """True when ``value`` is of the declared type ``hint``.
+
+    ``bool`` is an ``int`` subclass, but a flag is not a count: an
+    integer field refuses ``True`` and a flag refuses ``1``.
+    """
+    if get_origin(hint) is Union:
+        return any(_has_type(value, arm) for arm in get_args(hint))
+    return isinstance(value, hint) and (
+        hint is bool or not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -104,9 +118,12 @@ def parse_cell_request(data: object) -> CellRequest:
             f"{sorted(SELECTOR_FACTORIES)}"
         )
     scale = data.get("scale", 1.0)
+    # JSON's 1e400 decodes to inf and 10**400 has no float: no program
+    # can be built at either.
     if not isinstance(scale, (int, float)) or isinstance(scale, bool) \
-            or not scale > 0:
-        raise ServeError(f"scale must be a positive number, got {scale!r}")
+            or not 0 < scale <= sys.float_info.max:
+        raise ServeError(
+            f"scale must be a positive finite number, got {scale!r}")
     seed = data.get("seed", 1)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ServeError(f"seed must be an integer, got {seed!r}")
@@ -116,17 +133,26 @@ def parse_cell_request(data: object) -> CellRequest:
             f"config must be an object of SystemConfig overrides, got "
             f"{type(overrides).__name__}"
         )
-    bad_fields = sorted(set(overrides) - _CONFIG_FIELDS)
+    bad_fields = sorted(set(overrides) - set(_CONFIG_TYPES))
     if bad_fields:
         raise ServeError(
             f"unknown config field(s) {bad_fields}; see "
             f"repro.config.SystemConfig"
         )
+    for name, value in overrides.items():
+        hint = _CONFIG_TYPES[name]
+        if not _has_type(value, hint):
+            expected = " or ".join(
+                "null" if arm is type(None) else arm.__name__
+                for arm in get_args(hint) or (hint,)
+            )
+            raise ServeError(
+                f"invalid config override: {name} takes {expected}, "
+                f"got {value!r}"
+            )
     try:
         config = SystemConfig(**overrides)
     except ConfigError as exc:
-        raise ServeError(f"invalid config override: {exc}") from None
-    except TypeError as exc:  # e.g. an unhashable value
         raise ServeError(f"invalid config override: {exc}") from None
     return CellRequest(benchmark=benchmark, selector=selector,
                        scale=float(scale), seed=seed, config=config)

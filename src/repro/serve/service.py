@@ -35,28 +35,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import JobError, ServeError
+from repro.experiments.runner import grid_cell
 from repro.jobs.engine import Job, JobEngine
 from repro.metrics.summary import MetricReport
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.obs.telemetry import worker_observer
 from repro.serve.protocol import CellRequest
 from repro.store import CellKey, ResultStore
-from repro.system.simulator import simulate
-from repro.workloads import build_benchmark
-
-
-def _cell_worker(task: Tuple[str, str, float, int, object, bool]) -> MetricReport:
-    """Job-engine worker: simulate one cell (possibly in a subprocess).
-
-    Module-level so it pickles under spawn contexts; the program is
-    rebuilt inside the worker (cheaper than shipping it).
-    """
-    bench, selector, scale, seed, config, fast = task
-    program = build_benchmark(bench, scale=scale)
-    return MetricReport.from_result(
-        simulate(program, selector, config, seed=seed, fast=fast,
-                 observer=worker_observer())
-    )
 
 
 @dataclass
@@ -106,7 +90,6 @@ class SimulationService:
         observer: Optional[Observer] = None,
         code_version: Optional[str] = None,
         batch_window: float = 0.005,
-        fast: bool = True,
         mp_context=None,
     ) -> None:
         self.store = store
@@ -120,7 +103,6 @@ class SimulationService:
         #: Seconds a cold miss waits before dispatch so a concurrent
         #: burst of distinct cells lands in one engine batch.
         self.batch_window = batch_window
-        self.fast = fast
         self._mp_context = mp_context
         self.stats = ServiceStats()
         self._inflight: Dict[str, _Pending] = {}
@@ -253,7 +235,7 @@ class SimulationService:
             )
 
         engine = JobEngine(
-            _cell_worker,
+            grid_cell,
             workers=min(self.workers, len(batch)),
             timeout=self.job_timeout,
             max_retries=self.max_retries,
@@ -266,7 +248,7 @@ class SimulationService:
             Job(pending.digest,
                 (pending.request.benchmark, pending.request.selector,
                  pending.request.scale, pending.request.seed,
-                 pending.request.config, self.fast))
+                 pending.request.config))
             for pending in batch
         ])
 

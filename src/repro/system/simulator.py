@@ -355,9 +355,8 @@ class Simulator:
         callback, handed to ``producer``, which calls it once per
         executed block in order.  :meth:`run` feeds it from a step
         iterable, :meth:`run_push` from a push-mode producer, so both
-        drive this one body.  ``Step`` records are built only where
-        selectors take them: on every interpreted step and at cache
-        exits.
+        drive this one body.  Selector callbacks take the same
+        ``(block, taken, target)`` transfer.
 
         Instrumentation is branch-gated on ``events_on`` / ``prof`` so
         the disabled path stays identical to the uninstrumented loop.
@@ -372,7 +371,6 @@ class Simulator:
         on_cache_exit = selector.on_cache_exit
         lookup = cache.lookup
         edge_get = edge_profile.get
-        make_step = Step
 
         step_index = 0
         region: Optional[Region] = None  # None => interpreting
@@ -394,8 +392,7 @@ class Simulator:
 
             if region is None:
                 # ---- interpreting -------------------------------------
-                step = make_step(block, taken, target)
-                observe_interpreted(step)
+                observe_interpreted(block, taken, target)
                 stats.interp_steps += 1
                 stats.interp_instructions += block.bundle.count
                 if taken and target is not None:
@@ -404,14 +401,16 @@ class Simulator:
                         # The branch entering the cache is a history
                         # boundary: never profiled (Figure 5 lines 1-3),
                         # but LEI records it so its buffer has no gaps.
-                        on_cache_enter(step)
+                        on_cache_enter(block, taken, target)
                     else:
                         if prof is not None:
                             prof.enter("selector_decide")
-                            entered = on_interpreted_taken(step)
+                            entered = on_interpreted_taken(
+                                block, taken, target)
                             prof.exit()
                         else:
-                            entered = on_interpreted_taken(step)
+                            entered = on_interpreted_taken(
+                                block, taken, target)
                         if entered is not None and entered.entry is not target:
                             raise SelectionError(
                                 f"selector {selector.name} returned a region "
@@ -494,13 +493,12 @@ class Simulator:
                     order=current.selection_order,
                     exit_target=target.full_label,
                 )
-            step = make_step(block, taken, target)
             if prof is not None:
                 prof.enter("selector_decide")
-                on_cache_exit(step, current)
+                on_cache_exit(block, taken, target, current)
                 prof.exit()
             else:
-                on_cache_exit(step, current)
+                on_cache_exit(block, taken, target, current)
             installed = lookup(target)
             if installed is not None:
                 region = installed
@@ -576,13 +574,12 @@ class Simulator:
         * ``cache.now`` is advanced only where someone can read it —
           before selector callbacks, hooks, and region installs — not
           on pure walk steps, where nothing consults the clock;
-        * ``Step`` records are built only for the selector callbacks
-          that take them (the base-class no-op hooks are skipped
-          entirely, so e.g. LEI pays nothing per untaken interpreted
-          step);
+        * the selector's base-class no-op hooks are skipped entirely
+          (:func:`~repro.selection.base.fast_hooks`), so e.g. LEI pays
+          nothing per untaken interpreted step;
         * walk-table decision closures are the *same objects* the
           interpret path uses (one shared per-block memo indexed by
-          interned id), so per-site decision state never forks between
+          block id), so per-site decision state never forks between
           contexts; building a closure consumes no randomness, so eager
           compilation at install time leaves the RNG stream untouched;
         * a static run batches only decisions that are constant
@@ -614,9 +611,8 @@ class Simulator:
         obs = self.observer
 
         (observe_interpreted, on_cache_enter, on_interpreted_taken,
-         on_cache_exit, on_taken_raw, on_enter_raw) = fast_hooks(selector)
+         on_cache_exit) = fast_hooks(selector)
         edge_get = edge_profile.get
-        make_step = Step
         profiled = prof is not None
         if profiled:
             prof_enter = prof.enter
@@ -625,10 +621,10 @@ class Simulator:
 
         stack, ctx = engine._push_state()
         program = engine.program
-        # Interned per-block decision closures, indexed by dense block
-        # id: one shared memo serving the interpret path and every
-        # compiled walk table, so per-site decision state lives in
-        # exactly one closure regardless of execution context.
+        # Per-block decision closures, indexed by dense block id: one
+        # shared memo serving the interpret path and every compiled
+        # walk table, so per-site decision state lives in exactly one
+        # closure regardless of execution context.
         deciders: List[object] = [None] * len(program.blocks)
         make_decider = engine._decider_for
 
@@ -642,7 +638,7 @@ class Simulator:
 
         dispatch = DispatchTable(program, decider_for)
         cache.bind_dispatch(dispatch)
-        # Flat residency by interned entry id — the HASH-LOOKUP of
+        # Flat residency by entry block id — the HASH-LOOKUP of
         # Figures 5/13 reduced to one list index; kept patched by the
         # cache across installs, evictions, and flushes.
         tables_by_entry = dispatch.tables_by_entry
@@ -708,10 +704,7 @@ class Simulator:
                         # from it); steps with no callback skip the
                         # store — nothing reads the clock there.
                         cache.now = steps
-                        step = make_step(block, taken, target)
-                        observe_interpreted(step)
-                    else:
-                        step = None
+                        observe_interpreted(block, taken, target)
                     interp_steps += 1
                     interp_insts += count
                     if taken and target is not None:
@@ -722,31 +715,17 @@ class Simulator:
                             # boundary: never profiled (Figure 5 lines
                             # 1-3), but LEI records it so its buffer has
                             # no gaps.
-                            if on_enter_raw is not None and step is None:
-                                on_enter_raw(block, taken, target)
-                            elif on_cache_enter is not None:
-                                if step is None:
-                                    step = make_step(block, taken, target)
-                                on_cache_enter(step)
+                            if on_cache_enter is not None:
+                                on_cache_enter(block, taken, target)
                         else:
-                            if on_taken_raw is not None and step is None:
-                                if profiled:
-                                    prof_enter("selector_decide")
-                                    entered = on_taken_raw(
-                                        block, taken, target)
-                                    prof_exit()
-                                else:
-                                    entered = on_taken_raw(
-                                        block, taken, target)
+                            if profiled:
+                                prof_enter("selector_decide")
+                                entered = on_interpreted_taken(
+                                    block, taken, target)
+                                prof_exit()
                             else:
-                                if step is None:
-                                    step = make_step(block, taken, target)
-                                if profiled:
-                                    prof_enter("selector_decide")
-                                    entered = on_interpreted_taken(step)
-                                    prof_exit()
-                                else:
-                                    entered = on_interpreted_taken(step)
+                                entered = on_interpreted_taken(
+                                    block, taken, target)
                             if entered is not None:
                                 if entered.entry is not target:
                                     raise SelectionError(
@@ -904,13 +883,12 @@ class Simulator:
                         order=exited_region.selection_order,
                         exit_target=target.full_label,
                     )
-                step = make_step(block, taken, target)
                 if profiled:
                     prof_enter("selector_decide")
-                    on_cache_exit(step, exited_region)
+                    on_cache_exit(block, taken, target, exited_region)
                     prof_exit()
                 else:
-                    on_cache_exit(step, exited_region)
+                    on_cache_exit(block, taken, target, exited_region)
                 cur_table = tables_by_entry[target.block_id]
                 if cur_table is not None:
                     cur_table.region.entry_count += 1

@@ -12,7 +12,6 @@ from repro.cache.codecache import CodeCache
 from repro.cache.region import TraceRegion
 from repro.config import SystemConfig
 from repro.errors import ReproError
-from repro.execution.events import Step
 from repro.program.builder import ProgramBuilder
 from repro.selection.history import BranchHistoryBuffer
 from repro.selection.lei import form_trace
@@ -117,14 +116,14 @@ class TestTraceRecorder:
         a, b = blocks_of(program, "main:A", "main:B")
         recorder = TraceRecorder(head=b)
         # First fed step executes A, not the head B.
-        done = recorder.feed(Step(a, False, b), CodeCache(), SystemConfig())
+        done = recorder.feed(a, False, b, CodeCache(), SystemConfig())
         assert done
         assert recorder.blocks == []
 
     def test_stream_end_keeps_partial_trace(self, program):
         a, b = blocks_of(program, "main:A", "main:B")
         recorder = TraceRecorder(head=a)
-        done = recorder.feed(Step(a, False, None), CodeCache(), SystemConfig())
+        done = recorder.feed(a, False, None, CodeCache(), SystemConfig())
         assert done
         assert recorder.blocks == [a]
         assert recorder.final_target is None
@@ -136,11 +135,11 @@ class TestTraceRecorder:
         recorder = TraceRecorder(head=e)
         cache = CodeCache()
         config = SystemConfig()
-        assert not recorder.feed(Step(e, False, f), cache, config)
+        assert not recorder.feed(e, False, f, cache, config)
         # F returns forward to D: trace continues.
-        assert not recorder.feed(Step(f, True, d), cache, config)
+        assert not recorder.feed(f, True, d, cache, config)
         # D branches backward to A: trace ends *with* D.
-        assert recorder.feed(Step(d, True, a), cache, config)
+        assert recorder.feed(d, True, a, cache, config)
         assert recorder.blocks == [e, f, d]
         assert recorder.final_target is a
 
@@ -148,7 +147,7 @@ class TestTraceRecorder:
         a, b = blocks_of(program, "main:A", "main:B")
         config = SystemConfig(max_trace_instructions=3)
         recorder = TraceRecorder(head=a)
-        assert recorder.feed(Step(a, False, b), CodeCache(), config)
+        assert recorder.feed(a, False, b, CodeCache(), config)
         assert recorder.blocks == [a]
 
 
@@ -173,8 +172,8 @@ class TestErrorHierarchy:
         class BrokenSelector(RegionSelector):
             name = "broken"
 
-            def on_interpreted_taken(self, step):
-                wrong_entry = step.block  # not the target!
+            def on_interpreted_taken(self, block, taken, target):
+                wrong_entry = block  # not the target!
                 region = TraceRegion([wrong_entry])
                 if not self.cache.contains_entry(wrong_entry):
                     self.cache.insert(region)

@@ -27,7 +27,6 @@ class TestNetBackwardCallRule:
         full cycle (end-to-end, the callee's counter usually fires first
         and takes the E-rooted rotation instead)."""
         from repro.cache.codecache import CodeCache
-        from repro.execution.events import Step
         from repro.selection.net import TraceRecorder
 
         label = program.block_by_full_label
@@ -36,27 +35,26 @@ class TestNetBackwardCallRule:
         config = SystemConfig(net_stop_at_backward_calls=False)
         cache = CodeCache()
         recorder = TraceRecorder(head=a)
-        assert not recorder.feed(Step(a, False, b), cache, config)
+        assert not recorder.feed(a, False, b, cache, config)
         # The backward call no longer ends the trace...
-        assert not recorder.feed(Step(b, True, e), cache, config)
-        assert not recorder.feed(Step(e, False, f), cache, config)
-        assert not recorder.feed(Step(f, True, d), cache, config)
+        assert not recorder.feed(b, True, e, cache, config)
+        assert not recorder.feed(e, False, f, cache, config)
+        assert not recorder.feed(f, True, d, cache, config)
         # ...but the branch closing the trace's own cycle always does.
-        assert recorder.feed(Step(d, True, a), cache, config)
+        assert recorder.feed(d, True, a, cache, config)
         assert recorder.blocks == [a, b, e, f, d]
         assert recorder.final_target is a  # spans the cycle
 
     def test_strict_recorder_stops_at_the_backward_call(self, program):
         from repro.cache.codecache import CodeCache
-        from repro.execution.events import Step
         from repro.selection.net import TraceRecorder
 
         label = program.block_by_full_label
         a, b, e = label("main:A"), label("main:B"), label("helper:E")
         recorder = TraceRecorder(head=a)
         config = SystemConfig()
-        assert not recorder.feed(Step(a, False, b), CodeCache(), config)
-        assert recorder.feed(Step(b, True, e), CodeCache(), config)
+        assert not recorder.feed(a, False, b, CodeCache(), config)
+        assert recorder.feed(b, True, e, CodeCache(), config)
         assert recorder.blocks == [a, b]
 
     def test_relaxed_rule_still_terminates_traces(self, program):

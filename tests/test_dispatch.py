@@ -1,13 +1,9 @@
 """Tests for the compile-on-install dispatch layer (repro.cache.dispatch).
 
-Two properties anchor the layer:
-
-* the interned-id table is a bijection — every dense id maps back to a
-  unique block (and a unique address), and foreign blocks are rejected;
-* link patching is residency: after *any* sequence of installs,
-  evictions and flushes, every registered link slot holds exactly the
-  walk table of the region resident at its target — never a dangling
-  table (``DispatchTable.check_invariants``).
+One property anchors the layer: link patching is residency.  After
+*any* sequence of installs, evictions and flushes, every registered
+link slot holds exactly the walk table of the region resident at its
+target — never a dangling table (``DispatchTable.check_invariants``).
 
 One walk table serves both region kinds, so the fused walk is held to
 the reference state machine on the CFG shapes traces never have:
@@ -24,10 +20,9 @@ from hypothesis import strategies as st
 
 from repro.behavior.models import LoopTrip, RoundRobinIndirect
 from repro.cache.codecache import BoundedCodeCache, CodeCache
-from repro.cache.dispatch import DYNAMIC, BlockInterner, DispatchTable, WalkTable
+from repro.cache.dispatch import DYNAMIC, DispatchTable, WalkTable
 from repro.cache.region import CFGRegion, TraceRegion
 from repro.config import SystemConfig
-from repro.errors import CacheError
 from repro.execution.engine import ExecutionEngine
 from repro.metrics.linking import _direct_exit_targets
 from repro.metrics.summary import MetricReport
@@ -142,11 +137,11 @@ class _FixedRegions(RegionSelector):
         super().__init__(cache, config)
         self._regions = regions
 
-    def on_interpreted_taken(self, step):
+    def on_interpreted_taken(self, block, taken, target):
         for region in self._regions:
             self.cache.insert(region)
         self._regions = ()
-        return self.cache.lookup(step.target)
+        return self.cache.lookup(target)
 
     @property
     def peak_counters(self):
@@ -187,32 +182,6 @@ def _agree(program, selector, **kwargs):
     ref = simulate(program, selector, fast=False, **kwargs)
     assert _fingerprint(fast) == _fingerprint(ref)
     return fast
-
-
-class TestInterner:
-    @given(bid=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip(self, bid):
-        program = _INTERN_PROGRAM
-        interner = BlockInterner(program)
-        bid %= interner.size
-        block = interner.block_of(bid)
-        assert interner.id_of(block) == bid
-
-    def test_ids_map_to_unique_addresses(self):
-        interner = BlockInterner(_INTERN_PROGRAM)
-        addresses = {
-            interner.block_of(bid).address for bid in range(interner.size)
-        }
-        assert len(addresses) == interner.size
-
-    def test_foreign_block_rejected(self, chain_program):
-        interner = BlockInterner(_INTERN_PROGRAM)
-        with pytest.raises(CacheError, match="not interned"):
-            interner.id_of(chain_program.entry)
-
-
-_INTERN_PROGRAM = build_benchmark("gzip", scale=0.05)
 
 
 class TestLinkInvariants:

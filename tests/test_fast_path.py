@@ -114,6 +114,74 @@ class TestFusedVersusReference:
             simulator.run_program(engine)
 
 
+def _recording(selector):
+    """Turn ``selector`` into an instance of a subclass that logs every
+    callback as ``(hook, cache.now, block, taken, target, order)``,
+    ``order`` being the exited region's selection order."""
+    calls = []
+
+    class Recording(type(selector)):
+        def observe_interpreted(self, block, taken, target):
+            calls.append(("observe_interpreted", self.cache.now,
+                          block, taken, target, None))
+            super().observe_interpreted(block, taken, target)
+
+        def on_interpreted_taken(self, block, taken, target):
+            calls.append(("on_interpreted_taken", self.cache.now,
+                          block, taken, target, None))
+            return super().on_interpreted_taken(block, taken, target)
+
+        def on_cache_enter(self, block, taken, target):
+            calls.append(("on_cache_enter", self.cache.now,
+                          block, taken, target, None))
+            super().on_cache_enter(block, taken, target)
+
+        def on_cache_exit(self, block, taken, target, region):
+            calls.append(("on_cache_exit", self.cache.now,
+                          block, taken, target, region.selection_order))
+            super().on_cache_exit(block, taken, target, region)
+
+    selector.__class__ = Recording
+    return calls
+
+
+class TestOneCallbackProtocol:
+    """Both loops drive a selector through the same four
+    ``(block, taken, target)`` callbacks, and the fused loop builds no
+    ``Step`` to do it."""
+
+    @pytest.mark.parametrize("selector", ALL_SELECTORS)
+    @pytest.mark.parametrize("bench", BENCHMARKS)
+    def test_both_loops_make_the_same_calls(self, programs, bench,
+                                            selector):
+        program = programs[bench]
+        fused = Simulator(program, selector)
+        fused_calls = _recording(fused.selector)
+        fused.run_program(ExecutionEngine(program, seed=0))
+        ref = Simulator(program, selector)
+        ref_calls = _recording(ref.selector)
+        ref.run(ExecutionEngine(program, seed=0).run())
+        assert fused_calls
+        assert fused_calls == ref_calls
+
+    @pytest.mark.parametrize("selector", ALL_SELECTORS)
+    def test_fused_run_builds_no_step(self, programs, monkeypatch,
+                                      selector):
+        from repro.execution.events import Step
+
+        built = []
+        init = Step.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Step, "__init__", spy)
+        result = simulate(programs["gzip"], selector, seed=0)
+        assert result.stats.interp_steps > 0
+        assert built == []
+
+
 class TestBoundedCacheIdentity:
     """The link-invalidation path: fast == reference under eviction.
 

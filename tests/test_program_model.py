@@ -9,6 +9,7 @@ from repro.program.builder import ProgramBuilder
 from repro.program.dot import program_to_dot
 from repro.program.layout import DEFAULT_BASE_ADDRESS, PROCEDURE_PADDING
 from repro.program.validate import unreachable_blocks
+from repro.workloads import build_benchmark
 
 
 class TestBuilder:
@@ -117,9 +118,16 @@ class TestLayout:
         assert addresses[0] == DEFAULT_BASE_ADDRESS
 
     def test_block_ids_dense(self, call_loop_program):
-        for index, block in enumerate(call_loop_program.blocks):
-            assert block.block_id == index
-            assert call_loop_program.block_by_id(index) is block
+        # Ids are layout order, so every flat id-indexed table (the fused
+        # loop's residency and deciders) can be sized by the block count:
+        # each id round-trips through block_by_id and names one address.
+        for program in (call_loop_program,
+                        build_benchmark("gzip", scale=0.05)):
+            blocks = program.blocks
+            for index, block in enumerate(blocks):
+                assert block.block_id == index
+                assert program.block_by_id(index) is block
+            assert len({block.address for block in blocks}) == len(blocks)
 
     def test_procedure_padding_separates_procedures(self, call_loop_program):
         helper_last = call_loop_program.block_by_full_label("helper:F")

@@ -71,7 +71,9 @@ class TestProtocol:
         with pytest.raises(ServeError, match="unknown selector"):
             parse_cell_request({"benchmark": "gzip", "selector": "hot3000"})
 
-    @pytest.mark.parametrize("scale", [0, -1, "big", True, None])
+    @pytest.mark.parametrize("scale", [0, -1, "big", True, None,
+                                       float("inf"), float("-inf"),
+                                       float("nan"), 10 ** 400])
     def test_bad_scale_rejected(self, scale):
         with pytest.raises(ServeError, match="scale"):
             parse_cell_request({**CELL, "scale": scale})
@@ -88,6 +90,28 @@ class TestProtocol:
     def test_invalid_config_value_rejected(self):
         with pytest.raises(ServeError, match="invalid config override"):
             parse_cell_request({**CELL, "config": {"net_threshold": -5}})
+
+    @pytest.mark.parametrize("field,value", [
+        ("history_buffer_size", 2.5),
+        ("history_buffer_size", 1e400),  # inf, as JSON decodes it too
+        ("net_threshold", True),
+        ("lei_allow_exit_cycles", 1),
+        ("cache_capacity_bytes", 300.0),
+        ("cache_eviction_policy", ["fifo"]),
+    ])
+    def test_override_of_the_wrong_type_rejected(self, field, value):
+        with pytest.raises(ServeError, match=f"invalid config override: "
+                                             f"{field} takes"):
+            parse_cell_request({**CELL, "config": {field: value}})
+
+    def test_overrides_of_the_declared_types_accepted(self):
+        request = parse_cell_request({**CELL, "config": {
+            "history_buffer_size": 100, "lei_allow_exit_cycles": False,
+            "cache_capacity_bytes": None, "cache_eviction_policy": "fifo",
+        }})
+        assert request.config == SystemConfig(
+            history_buffer_size=100, lei_allow_exit_cycles=False,
+            cache_eviction_policy="fifo")
 
     def test_config_must_be_an_object(self):
         with pytest.raises(ServeError, match="config must be an object"):
@@ -275,6 +299,26 @@ class TestHttpEndpoints:
         assert status == 400
         assert payload["status"] == "error"
         assert "selector" in payload["error"]
+
+    def test_uncomputable_cell_is_a_400_and_launches_nothing(self, server):
+        handle, client = server
+        launched = client.stats()["service"]["jobs_launched"]
+        body = b'{"benchmark": "gzip", "selector": "lei", "scale": 1e400}'
+        with socket.create_connection(("127.0.0.1", handle.port)) as raw:
+            raw.sendall(
+                b"POST /v1/simulate HTTP/1.1\r\n"
+                b"Host: x\r\nContent-Length: %d\r\n\r\n%s"
+                % (len(body), body)
+            )
+            response = raw.recv(65536)
+        assert b"400" in response.split(b"\r\n", 1)[0]
+        assert b"positive finite number" in response
+        status, payload = client.request(
+            "POST", "/v1/simulate",
+            {**CELL, "config": {"history_buffer_size": 2.5}})
+        assert status == 400
+        assert "history_buffer_size takes int" in payload["error"]
+        assert client.stats()["service"]["jobs_launched"] == launched
 
     def test_unknown_route_is_a_404(self, server):
         handle, client = server
