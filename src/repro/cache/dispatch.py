@@ -18,17 +18,19 @@ code *once* and then executes it without consulting its own tables:
   state never forks), instruction count, icache offset and size, the
   position a taken or fall-through transfer stays on (the region's own
   stay rule, evaluated once), a target map for returns and indirect
-  jumps, and *static runs* — chains of constant decisions the walker
-  executes in one bound.
+  jumps, *static runs* — chains of constant decisions the walker
+  executes in one bound — and the *counted latch* of a ``LoopTrip``
+  cycle back to the entry, whose laps the walker runs in one bound.
 * Direct region→region **link patching** — whenever a region exit's
   statically-known target is another resident region's entry, the walk
   table slot holds a direct reference to that region's table, so the
   fast path chains region to region without bouncing through
-  ``CodeCache.lookup`` or selector dispatch.  Links are patched on
-  install (:meth:`DispatchTable.install`) and invalidated on
-  eviction/flush (:meth:`DispatchTable.retire`), which keeps
-  bounded-cache runs correct: a slot is non-``None`` exactly when the
-  region at its target address is resident *right now*.
+  ``CodeCache.lookup`` or selector dispatch, and without leaving its
+  walk loop.  Links are patched on install
+  (:meth:`DispatchTable.install`) and invalidated on eviction/flush
+  (:meth:`DispatchTable.retire`), which keeps bounded-cache runs
+  correct: a slot is non-``None`` exactly when the region at its target
+  address is resident *right now*.
 
 The tables are semantics-free: every decision they encode replicates
 the reference state machine bit for bit (``tests/test_fast_path.py``
@@ -90,20 +92,38 @@ class WalkTable:
       instructions, landing on ``run_end[i]``) and tallies it in
       ``run_hits``;
     * ``link_taken[i]`` / ``link_fall[i]`` — the patchable link slots of
-      the two static exits.
+      the two static exits.  The walker takes a patched one without
+      leaving its loop: it binds the linked table's ``walk_locals`` in
+      one tuple unpack;
+    * ``latch`` — the *counted latch*, or ``-1``: a position whose
+      decider carries a ``LoopTrip`` remaining-count ``cell``
+      (:meth:`ExecutionEngine._decider_for
+      <repro.execution.engine.ExecutionEngine._decider_for>`), whose
+      taken transfer stays on the entry, and which the entry's static
+      run lands on (or which is the entry).  One lap of its cycle is
+      the entry's run plus the latch: ``cycle_len`` steps,
+      ``cycle_insts`` instructions.  Once the latch is taken onto the
+      entry, its next ``cell[0] - 1`` decisions are taken with no RNG
+      draw (a jittered count draws only when the cell is empty), and
+      the lap between them is constant, so :meth:`run_laps` walks
+      those laps in one bound.  A replay's latch decides by the trace's
+      direction bits, has no cell, and is never counted.
 
     ``taken_hits`` / ``fall_hits`` (and the ``targets`` slots) count
-    walked edges by position and direction; :meth:`fold_edges` folds
-    them into the run's shared edge profile once at the end of the run
-    (a walked edge is fully determined by its position and direction,
-    and dict equality does not see insertion order).
+    the edges walked out of each position by direction, whether the
+    transfer stayed or left through a link slot; :meth:`fold_edges`
+    folds them into the run's shared edge profile once at the end of
+    the run (a static transfer's edge is fully determined by its
+    position and direction, and dict equality does not see insertion
+    order).
     """
 
     __slots__ = (
         "region", "blocks", "entry_pos", "deciders", "counts", "offsets",
         "sizes", "next_taken", "next_fall", "targets", "run_len", "run_end",
         "run_insts", "run_hits", "taken_hits", "fall_hits", "link_taken",
-        "link_fall", "sites",
+        "link_fall", "sites", "latch", "latch_cell", "cycle_len",
+        "cycle_insts", "walk_locals",
     )
 
     def __init__(
@@ -168,6 +188,7 @@ class WalkTable:
         self.next_fall = tuple(next_fall)
         self.targets = tuple(targets)
         self._compile_runs()
+        self._mark_counted_latch()
         self.taken_hits = [0] * n
         self.fall_hits = [0] * n
         self.link_taken: List[Optional[WalkTable]] = [None] * n
@@ -175,6 +196,30 @@ class WalkTable:
         #: ``(target block id, site)`` for every link slot this table
         #: registered — unregistered again when the table is retired.
         self.sites: List[Tuple[int, _LinkSite]] = []
+        #: What the walker binds to locals when it starts walking this
+        #: table.  The hit lists are zeroed in place, never replaced.
+        self.walk_locals = (
+            region, self.entry_pos, self.deciders, self.counts,
+            self.next_taken, self.next_fall, self.taken_hits,
+            self.fall_hits, self.run_len, self.run_end, self.run_insts,
+            self.run_hits,
+        )
+
+    def _mark_counted_latch(self) -> None:
+        """Find the counted latch, the one position the entry's static
+        run lands on (the entry itself when that run is empty)."""
+        entry_pos = self.entry_pos
+        latch = self.run_end[entry_pos]
+        cell = getattr(self.deciders[latch], "cell", None)
+        if cell is None or self.next_taken[latch] != entry_pos:
+            self.latch = -1
+            self.latch_cell = None
+            self.cycle_len = self.cycle_insts = 0
+            return
+        self.latch = latch
+        self.latch_cell = cell
+        self.cycle_len = self.run_len[entry_pos] + 1
+        self.cycle_insts = self.run_insts[entry_pos] + self.counts[latch]
 
     def _compile_runs(self) -> None:
         """Chain the constant decisions into static runs, cutting any
@@ -234,29 +279,52 @@ class WalkTable:
                 pos = self.next_fall[pos]
         return pos, insts
 
+    def run_laps(self, budget: int) -> Tuple[int, int]:
+        """Walk every further lap of the counted cycle that the latch's
+        count and a budget of ``budget`` steps allow, right after the
+        latch was taken onto the entry; returns the steps and
+        instructions walked.  The latch ends on a count of at least 1,
+        so its next decision is its own."""
+        cell = self.latch_cell
+        laps = min(cell[0] - 1, budget // self.cycle_len)
+        if laps <= 0:
+            return 0, 0
+        cell[0] -= laps
+        self.taken_hits[self.latch] += laps
+        # An empty entry run (the latch is the entry) unfolds to nothing.
+        self.run_hits[self.entry_pos] += laps
+        self.region.cycle_backs += laps
+        return laps * self.cycle_len, laps * self.cycle_insts
+
     def fold_edges(self, edge_profile: Dict) -> None:
         """Fold the batched walked-edge counts into ``edge_profile``."""
         run_len = self.run_len
-        for pos, hits in enumerate(self.run_hits):
+        run_hits = self.run_hits
+        for pos, hits in enumerate(run_hits):
             if hits:
                 self.advance(pos, run_len[pos], hits)
-        n = len(self.blocks)
-        self.run_hits = [0] * n
-        blocks = self.blocks
+                run_hits[pos] = 0
         get = edge_profile.get
-        for hits, stays in ((self.taken_hits, self.next_taken),
-                            (self.fall_hits, self.next_fall)):
-            for pos, count in enumerate(hits):
-                if count:
-                    edge = (blocks[pos], blocks[stays[pos]])
-                    edge_profile[edge] = get(edge, 0) + count
-        self.taken_hits = [0] * n
-        self.fall_hits = [0] * n
-        for pos, slots in enumerate(self.targets):
+        taken_hits = self.taken_hits
+        fall_hits = self.fall_hits
+        for pos, block in enumerate(self.blocks):
+            # A static transfer goes to its static target, whether it
+            # stayed or left through a link slot.
+            count = taken_hits[pos]
+            if count:
+                edge = (block, block.terminator.taken_target)
+                edge_profile[edge] = get(edge, 0) + count
+                taken_hits[pos] = 0
+            count = fall_hits[pos]
+            if count:
+                edge = (block, block.fallthrough)
+                edge_profile[edge] = get(edge, 0) + count
+                fall_hits[pos] = 0
+            slots = self.targets[pos]
             if slots:
                 for target, slot in slots.items():
                     if slot[1]:
-                        edge = (blocks[pos], target)
+                        edge = (block, target)
                         edge_profile[edge] = get(edge, 0) + slot[1]
                         slot[1] = 0
 

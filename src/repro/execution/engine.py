@@ -226,11 +226,17 @@ class ExecutionEngine:
 
                 return decide_bernoulli
             if model_type is LoopTrip:
+                # The remaining-count cell also rides on the decider as
+                # ``cell``: after a taken decision it holds ``r >= 1``,
+                # and the next ``r - 1`` decisions are taken with no
+                # draw, which lets the fused walk run a counted cycle's
+                # laps at once (``WalkTable.run_laps``).
+                cell = [None]
                 trips = model.trips
                 jitter = model.jitter
                 if jitter == 0:
 
-                    def decide_loop(step, _cell=[None], _trips=trips,
+                    def decide_loop(step, _cell=cell, _trips=trips,
                                     _taken=taken_result, _fall=fall_result):
                         remaining = _cell[0]
                         if remaining is None:
@@ -242,9 +248,10 @@ class ExecutionEngine:
                         _cell[0] = remaining
                         return _taken
 
+                    decide_loop.cell = cell
                     return decide_loop
 
-                def decide_loop_jitter(step, _cell=[None],
+                def decide_loop_jitter(step, _cell=cell,
                                        _randint=ctx.rng.randint,
                                        _lo=trips - jitter,
                                        _hi=trips + jitter,
@@ -260,6 +267,7 @@ class ExecutionEngine:
                     _cell[0] = remaining
                     return _taken
 
+                decide_loop_jitter.cell = cell
                 return decide_loop_jitter
             if model_type is Periodic:
 

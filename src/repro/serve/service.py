@@ -17,7 +17,9 @@ tier that can satisfy it:
    a :class:`~repro.jobs.engine.JobEngine` batch with the engine's
    existing per-job timeout / bounded-retry / fault machinery.  Each
    finished cell persists to the store *and* resolves its waiters as
-   it completes, not when the batch drains.
+   it completes, not when the batch drains.  A cell that fails
+   terminally rejects only its own waiters; the batch-mates the engine
+   stopped with it are queued again.
 
 The dispatcher runs `JobEngine.run` in a worker thread
 (``asyncio.to_thread``) so the event loop — and therefore warm hits
@@ -207,16 +209,30 @@ class SimulationService:
             except asyncio.CancelledError:
                 raise
             except Exception as exc:
-                # Terminal engine failure (retry budget exhausted):
-                # reject every waiter the batch still owes an answer.
+                # Terminal engine failure (retry budget exhausted).  The
+                # engine stops the whole batch at its first one, so only
+                # the failed cell is answered; the cells it stopped go
+                # back on the queue.  A failure no cell owns rejects
+                # every waiter the batch still owes an answer.
                 self.stats.failures += 1
+                failed = (exc.context.get("job_id")
+                          if isinstance(exc, JobError) else None)
+                owned = any(p.digest == failed for p in batch)
+                retry = []
                 for pending in batch:
+                    if pending.future.done():
+                        continue
+                    if owned and pending.digest != failed:
+                        retry.append(pending)
+                        continue
                     self._inflight.pop(pending.digest, None)
-                    if not pending.future.done():
-                        pending.future.set_exception(
-                            exc if isinstance(exc, JobError)
-                            else JobError(f"batch dispatch failed: {exc}")
-                        )
+                    pending.future.set_exception(
+                        exc if isinstance(exc, JobError)
+                        else JobError(f"batch dispatch failed: {exc}")
+                    )
+                if retry:
+                    self._queue[:0] = retry
+                    self._wake.set()
 
     def _run_batch(self, batch: List[_Pending]) -> None:
         """Worker thread: run one engine batch, resolving as cells land.

@@ -556,21 +556,25 @@ class Simulator:
         position each transfer stays on, patched links — so a
         cache-walk step indexes parallel tuples instead of touching
         region or block attributes, chains of constant decisions are
-        consumed in one bound (*static runs*), and a region exit whose
+        consumed in one bound (*static runs*), the laps of a cycle closed
+        by a counted ``LoopTrip`` latch are consumed in one bound per
+        activation (*counted cycles*), and a region exit whose
         statically-known target is another resident region's entry
         chains through the patched link slot without any residency
-        lookup at all.  One walk loop serves both region kinds; its
-        locals are bound once per region stint.  Decision-for-decision
-        it must mirror :meth:`_run_loop`; the bit-identity suite in
+        lookup and without leaving the walk loop.  One walk loop serves
+        both region kinds; it leaves only to interpret and for exits
+        with a dynamic target.  Decision-for-decision it must mirror
+        :meth:`_run_loop`; the bit-identity suite in
         ``tests/test_fast_path.py`` compares the two over every
         (benchmark × selector × cache-policy) cell.
 
         Bit-identity-preserving shortcuts, and why they are safe:
 
-        * the hot ``RunStats`` counters accumulate in locals and are
-          flushed to ``stats`` before any step hook runs (hooks observe
-          steps ``1..N-1`` at step ``N``, exactly like the reference
-          loop) and again on every exit path;
+        * the hot ``RunStats`` counters (``region_transitions``
+          included) accumulate in locals and are flushed to ``stats``
+          before any step hook runs (hooks observe steps ``1..N-1`` at
+          step ``N``, exactly like the reference loop) and again on
+          every exit path;
         * ``cache.now`` is advanced only where someone can read it —
           before selector callbacks, hooks, and region installs — not
           on pure walk steps, where nothing consults the clock;
@@ -588,6 +592,24 @@ class Simulator:
           evaluating them stepwise has no side effects — and batching
           is disabled when per-step observers (step hooks, an icache
           model) are registered;
+        * a counted cycle (``WalkTable.run_laps``) is walked in whole
+          laps only when batching is on, right after its latch was taken
+          onto the entry.  The latch's ``LoopTrip`` count is then
+          deterministic: it says how many more decisions are taken, and
+          a jittered count draws from the RNG only when its cell is
+          empty, which no batched lap reaches, so no draw is skipped or
+          moved.  The rest of the lap is the entry's static run.  The
+          laps move the steps, instructions, the latch's taken hits,
+          the entry's run hits, ``cycle_backs`` and the count by the same
+          multiple, and stop at the step budget.  A replay's latch
+          decides by direction bits and carries no count, so replays
+          never take it;
+        * a static exit whose link slot is patched switches tables
+          inside the walk loop: the same exit and entry counts, exited
+          instructions and region transition as the exit path, with the
+          exit edge counted by position and direction.  Neither loop
+          emits an event, calls a selector or reads the clock on a
+          linked exit, so nothing sees where the switch happens;
         * where a transfer stays is the region's own rule
           (``TraceRegion.position_after``, ``CFGRegion.stays_internal``)
           evaluated at compile time on the block's static targets: a
@@ -599,11 +621,11 @@ class Simulator:
           dispatch layer re-patches every slot on install and eviction,
           and dynamic-target exits (returns, indirect jumps) fall back
           to the flat residency table;
-        * walked-edge counts are keyed by position and direction (a
-          dynamic target's by its slot) and folded into
-          ``edge_profile`` once at the end — the walked edge is fully
-          determined by them, and dict equality does not see insertion
-          order.
+        * walked-edge counts, linked exits' included, are keyed by
+          position and direction (a dynamic target's by its slot) and
+          folded into ``edge_profile`` once at the end — the walked edge
+          is fully determined by them, and dict equality does not see
+          insertion order.
         """
         selector = self.selector
         cache = self.cache
@@ -646,9 +668,9 @@ class Simulator:
         block: Optional[BasicBlock] = program.entry
         max_steps = engine.max_steps
         steps = 0
-        # Static-run batching folds whole runs into one loop
-        # iteration, so it is valid only when nothing observes
-        # individual steps.
+        # Static runs and counted laps fold many steps into one loop
+        # iteration, so they are valid only when nothing observes
+        # individual steps; when something does, the walk serves it.
         can_batch = not step_hooks and icache is None
 
         # Hot counters, kept local (see the flush discipline above).
@@ -661,6 +683,7 @@ class Simulator:
         interp_steps = 0
         interp_insts = 0
         cache_insts = 0
+        transitions = 0
 
         # The walk table of the region being walked, None while
         # interpreting; its region and its locals are bound when the
@@ -691,6 +714,7 @@ class Simulator:
                         stats.interp_instructions = interp_insts
                         stats.cache_steps = steps - 1 - interp_steps
                         stats.cache_instructions = cache_insts + walk_insts
+                        stats.region_transitions = transitions
                         for hook in step_hooks:
                             hook.on_step(steps)
 
@@ -757,59 +781,59 @@ class Simulator:
                     continue
 
                 # ---- executing in the cache ---------------------------
-                # Bind the walk table's locals once per region stint.
-                region = cur_table.region
-                pos = entry_pos = cur_table.entry_pos
-                w_deciders = cur_table.deciders
-                w_counts = cur_table.counts
-                next_taken = cur_table.next_taken
-                next_fall = cur_table.next_fall
-                taken_hits = cur_table.taken_hits
-                fall_hits = cur_table.fall_hits
-                run_len = cur_table.run_len
-                run_end = cur_table.run_end
-                run_insts = cur_table.run_insts
-                run_hits = cur_table.run_hits
+                # Bind the walk table's locals; a linked exit rebinds
+                # them inside the walk.
+                (region, entry_pos, w_deciders, w_counts, next_taken,
+                 next_fall, taken_hits, fall_hits, run_len, run_end,
+                 run_insts, run_hits) = cur_table.walk_locals
+                pos = entry_pos
                 while steps < max_steps:
                     if can_batch:
                         span = run_len[pos]
                         if span:
-                            remaining = max_steps - steps
-                            if span <= remaining:
+                            steps += span
+                            if steps < max_steps:
+                                # The whole run, then the step it lands
+                                # on.
                                 run_hits[pos] += 1
                                 walk_insts += run_insts[pos]
                                 pos = run_end[pos]
                             else:
-                                # The step budget ends inside the run:
-                                # walk only what fits.
-                                span = remaining
+                                # The step budget ends inside the run or
+                                # with it: walk only what fits.
                                 pos, batch_insts = cur_table.advance(
-                                    pos, span)
+                                    pos, span - (steps - max_steps))
                                 walk_insts += batch_insts
-                            steps += span
-                            continue
+                                steps = max_steps
+                                continue
                     steps += 1
                     decide = w_deciders[pos]
                     if decide.__class__ is tuple:
                         taken, target = decide
                     else:
                         taken, target = decide(steps)
-                    if step_hooks:
-                        cache.now = steps
-                        stats.interp_steps = interp_steps
-                        stats.interp_instructions = interp_insts
-                        stats.cache_steps = steps - 1 - interp_steps
-                        stats.cache_instructions = cache_insts + walk_insts
-                        for hook in step_hooks:
-                            hook.on_step(steps)
+                    if not can_batch:
+                        if step_hooks:
+                            cache.now = steps
+                            stats.interp_steps = interp_steps
+                            stats.interp_instructions = interp_insts
+                            stats.cache_steps = steps - 1 - interp_steps
+                            stats.cache_instructions = (cache_insts
+                                                        + walk_insts)
+                            stats.region_transitions = transitions
+                            for hook in step_hooks:
+                                hook.on_step(steps)
+                        if icache is not None:
+                            base_addr = region.cache_address
+                            if base_addr is not None:
+                                icache.touch(
+                                    base_addr + cur_table.offsets[pos],
+                                    cur_table.sizes[pos])
                     walk_insts += w_counts[pos]
-                    if icache is not None:
-                        base_addr = region.cache_address
-                        if base_addr is not None:
-                            icache.touch(base_addr + cur_table.offsets[pos],
-                                         cur_table.sizes[pos])
                     # The region's stay rule, compiled: the position the
-                    # transfer stays on, with its walked edge batched.
+                    # transfer stays on, with its walked edge batched;
+                    # -1 with ``linked`` set for a static exit whose
+                    # link slot is patched.
                     if taken:
                         stay = next_taken[pos]
                         if stay >= 0:
@@ -821,14 +845,43 @@ class Simulator:
                             slot[1] += 1
                             stay = slot[0]
                         else:
-                            break
+                            linked = cur_table.link_taken[pos]
+                            if linked is None:
+                                break
+                            taken_hits[pos] += 1
                     else:
                         stay = next_fall[pos]
                         if stay < 0:
-                            break
+                            linked = cur_table.link_fall[pos]
+                            if linked is None:
+                                break
                         fall_hits[pos] += 1
-                    if stay == entry_pos:
-                        region.cycle_backs += 1
+                    # Both rare cases sit at or below the entry: a
+                    # cycle back, and a linked exit (-1).
+                    if stay <= entry_pos:
+                        if stay == entry_pos:
+                            region.cycle_backs += 1
+                            if can_batch and pos == cur_table.latch:
+                                span, batch_insts = cur_table.run_laps(
+                                    max_steps - steps)
+                                steps += span
+                                walk_insts += batch_insts
+                        elif stay < 0:
+                            # A linked exit stub: a direct region-to-
+                            # region jump, taken inside the walk.
+                            region.exit_count += 1
+                            region.executed_instructions += walk_insts
+                            cache_insts += walk_insts
+                            walk_insts = 0
+                            transitions += 1
+                            cur_table = linked
+                            (region, entry_pos, w_deciders, w_counts,
+                             next_taken, next_fall, taken_hits, fall_hits,
+                             run_len, run_end, run_insts,
+                             run_hits) = linked.walk_locals
+                            region.entry_count += 1
+                            pos = entry_pos
+                            continue
                     pos = stay
                 else:
                     break  # the step budget ran out inside the region
@@ -849,23 +902,18 @@ class Simulator:
                         prof_switch("interpret")
                     block = target
                     continue
-                # The patched link slot for this exit's statically-known
-                # target (dynamic targets consult flat residency): holds
-                # the linked region's walk table exactly while that
-                # region is resident.
-                if not taken:
-                    linked_table = cur_table.link_fall[pos]
-                elif next_taken[pos] == DYNAMIC:
-                    linked_table = tables_by_entry[target.block_id]
-                else:
-                    linked_table = cur_table.link_taken[pos]
-                if linked_table is not None:
-                    # A linked exit stub: direct region-to-region jump.
-                    stats.region_transitions += 1
-                    cur_table = linked_table
-                    linked_table.region.entry_count += 1
-                    block = target
-                    continue
+                # Static exits with a patched link slot never get here;
+                # a return's or an indirect jump's target is looked up
+                # in flat residency.
+                if next_taken[pos] == DYNAMIC:
+                    linked = tables_by_entry[target.block_id]
+                    if linked is not None:
+                        # A linked exit stub: direct region-to-region jump.
+                        transitions += 1
+                        cur_table = linked
+                        linked.region.entry_count += 1
+                        block = target
+                        continue
                 # Exit to the interpreter; the exit target becomes a
                 # start candidate, and (LEI) may complete a cycle
                 # that installs and immediately enters a new region.
@@ -911,6 +959,7 @@ class Simulator:
             stats.interp_instructions = interp_insts
             stats.cache_steps = steps - interp_steps
             stats.cache_instructions = cache_insts
+            stats.region_transitions = transitions
             cache.now = steps
             engine.steps_executed = steps
             engine.instructions_executed = interp_insts + cache_insts

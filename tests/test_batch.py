@@ -33,6 +33,8 @@ from repro.selection.registry import SELECTOR_NAMES
 from repro.system.simulator import simulate
 from repro.workloads import BENCHMARKS as SPEC_BENCHMARKS
 
+from .identity import fingerprint
+
 #: Backend names this interpreter accepts; either runs the fused core.
 BACKENDS = ("numpy", "python") if HAVE_NUMPY else ("python",)
 
@@ -179,27 +181,6 @@ class TestFleetBitIdentity:
         assert_fleet_matches_serial(cells, max_steps=max_steps)
 
 
-def _fingerprint(result):
-    """Everything a run measures, in comparable form.
-
-    Edges are keyed by block label: the fleet builds its own program
-    instance, and blocks compare by identity.
-    """
-    stats = {
-        name: getattr(result.stats, name) for name in result.stats.__slots__
-    }
-    edges = {(src.full_label, dst.full_label): count
-             for (src, dst), count in result.edge_profile.items()}
-    return (
-        MetricReport.from_result(result),
-        stats,
-        edges,
-        result.selector_diagnostics,
-        result.peak_counters,
-        result.peak_observed_trace_bytes,
-    )
-
-
 #: The paper's grid at test scale: every SPEC stand-in under every
 #: paper selector, one seed — the cell set of the benchmark's
 #: grid-fleet workload.
@@ -233,8 +214,8 @@ class TestPaperGridFleet:
         program = build_fleet_program(cell.benchmark, cell.scale)
         reference = simulate(program, cell.selector, seed=cell.seed,
                              fast=False)
-        assert (_fingerprint(paper_grid_fleet.results[cell])
-                == _fingerprint(reference))
+        assert (fingerprint(paper_grid_fleet.results[cell])
+                == fingerprint(reference))
         assert paper_grid_fleet.reports[cell] == MetricReport.from_result(
             reference)
 

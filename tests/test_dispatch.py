@@ -9,10 +9,15 @@ One walk table serves both region kinds, so the fused walk is held to
 the reference state machine on the CFG shapes traces never have:
 static runs that a step budget cuts, static cycles that avoid the
 entry, dynamic transfers that stay only along observed edges, and
-evicted regions whose walked edges must still reach the profile.
+evicted regions whose walked edges must still reach the profile.  So
+are the walk's two shortcuts: the laps of a cycle closed by a counted
+``LoopTrip`` latch, walked at once, and linked exits taken inside the
+walk, into regions a bounded cache later evicts too.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,13 +30,16 @@ from repro.cache.region import CFGRegion, TraceRegion
 from repro.config import SystemConfig
 from repro.execution.engine import ExecutionEngine
 from repro.metrics.linking import _direct_exit_targets
-from repro.metrics.summary import MetricReport
+from repro.obs import CollectingSink, Observer
 from repro.program.builder import ProgramBuilder
 from repro.selection.base import RegionSelector
 from repro.selection.registry import SELECTOR_FACTORIES
-from repro.system.simulator import simulate
+from repro.system.simulator import Simulator, simulate
+from repro.tracing import collect_trace, replay_trace_into
 from repro.workloads import build_benchmark
 from repro.workloads.micro import build_micro
+
+from .identity import fingerprint
 
 
 def _decider_for(program):
@@ -127,6 +135,46 @@ def _observed_edges_regions(program):
     return [cfg, TraceRegion([block("main:T3"), block("main:L")])]
 
 
+def _counted_loop_program(body=0, trips=40, jitter=0, outer=5):
+    """An outer loop at O around a counted loop at E.  With ``body``
+    0, E is a one-block self-loop latch; otherwise E falls into
+    ``body`` blocks that jump one to the next and reach the latch L.
+    The latch's LoopTrip goes back to E, then falls into T, whose own
+    latch goes back to O ``outer`` times."""
+    pb = ProgramBuilder("counted_loop", entry="main")
+    main = pb.procedure("main")
+    main.block("S", insts=1)
+    main.block("O", insts=1)
+    latch = LoopTrip(trips, jitter)
+    if body:
+        main.block("E", insts=2)
+        for i in range(body):
+            main.block(f"A{i}", insts=i + 1).jump(
+                f"A{i + 1}" if i + 1 < body else "L")
+        main.block("L", insts=1).cond("E", model=latch)
+    else:
+        main.block("E", insts=3).cond("E", model=latch)
+    main.block("T", insts=1).cond("O", model=LoopTrip(outer))
+    main.block("done", insts=1).halt()
+    return pb.build()
+
+
+def _counted_loop_regions(kind):
+    """Regions over the counted loop: a trace from E to the latch, or
+    a CFG region that also holds O and T, so its entry E is not its
+    first position and the outer loop cycles back through O."""
+
+    def make(program):
+        blocks = [block for block in program.blocks
+                  if block.label not in ("S", "done")]
+        loop = [block for block in blocks if block.label not in ("O", "T")]
+        if kind == "trace":
+            return [TraceRegion(loop)]
+        return [CFGRegion(loop[0], blocks, [])]
+
+    return make
+
+
 class _FixedRegions(RegionSelector):
     """Installs hand-built regions at the first taken branch, then
     enters whichever one a branch targets."""
@@ -163,24 +211,12 @@ def fixed_regions(monkeypatch):
     return register
 
 
-def _fingerprint(result):
-    """Everything a run measures, in comparable form."""
-    return (
-        MetricReport.from_result(result),
-        {name: getattr(result.stats, name)
-         for name in result.stats.__slots__},
-        result.edge_profile,
-        [(r.entry_count, r.exit_count, r.cycle_backs,
-          r.executed_instructions) for r in result.regions],
-    )
-
-
 def _agree(program, selector, **kwargs):
     """Run the fused loop and the reference; assert they agree and
     return the fused result."""
     fast = simulate(program, selector, fast=True, **kwargs)
     ref = simulate(program, selector, fast=False, **kwargs)
-    assert _fingerprint(fast) == _fingerprint(ref)
+    assert fingerprint(fast) == fingerprint(ref)
     return fast
 
 
@@ -407,3 +443,183 @@ class TestFusedWalkAgrees:
                        if id(region) not in resident]
             assert any(not region.is_trace and region.executed_instructions
                        for region in evicted)
+
+
+def _counting_latch_calls(monkeypatch):
+    """Wrap every decider that carries a LoopTrip count so that its
+    calls are counted; the wrapper carries the same count."""
+    calls = []
+    make = ExecutionEngine._decider_for
+
+    def spy(self, block, stack, ctx):
+        decide = make(self, block, stack, ctx)
+        cell = getattr(decide, "cell", None)
+        if cell is None:
+            return decide
+
+        def counted(step):
+            calls.append(block.label)
+            return decide(step)
+
+        counted.cell = cell
+        return counted
+
+    monkeypatch.setattr(ExecutionEngine, "_decider_for", spy)
+    return calls
+
+
+@pytest.fixture
+def lap_budgets(monkeypatch):
+    """The step budget of every ``WalkTable.run_laps`` call."""
+    budgets = []
+    run_laps = WalkTable.run_laps
+
+    def spy(self, budget):
+        budgets.append(budget)
+        return run_laps(self, budget)
+
+    monkeypatch.setattr(WalkTable, "run_laps", spy)
+    return budgets
+
+
+class TestCountedCycles:
+    """A cycle whose only varying block is a LoopTrip latch back to the
+    entry is walked in whole laps, on traces and CFG regions alike."""
+
+    SHAPES = {
+        "self-loop": dict(body=0),
+        "constant-body": dict(body=3),
+        "jittered": dict(body=3, jitter=9),
+    }
+
+    @pytest.mark.parametrize("kind", ("trace", "cfg"))
+    @pytest.mark.parametrize("body", (0, 3))
+    def test_the_latch_is_marked_with_its_lap(self, body, kind):
+        program = _counted_loop_program(body=body)
+        (region,) = _counted_loop_regions(kind)(program)
+        table = DispatchTable(program, _decider_for(program)).compile(region)
+        pos = {block.label: i for i, block in enumerate(table.blocks)}
+        latch = pos["L" if body else "E"]
+        assert table.entry_pos == pos["E"]
+        assert (table.latch, table.latch_cell) == (
+            latch, table.deciders[latch].cell)
+        # The lap is E, the body and the latch.
+        assert table.cycle_len == (body + 2 if body else 1)
+        assert table.cycle_insts == (2 + sum(range(1, body + 1)) + 1
+                                     if body else 3)
+
+    def test_no_latch_without_a_count_or_off_the_entry_run(self):
+        program = _observed_edges_program()
+        dispatch = DispatchTable(program, _decider_for(program))
+        # E's decider is an indirect jump, so its run is empty and the
+        # LoopTrip at L is not on it; T3's trace latch goes to E, not
+        # back to T3.
+        for region in _observed_edges_regions(program):
+            assert dispatch.compile(region).latch == -1
+        cut = _static_cycle_program()
+        (region,) = _static_cycle_regions(cut)
+        assert DispatchTable(cut, _decider_for(cut)).compile(
+            region).latch == -1
+
+    @pytest.mark.parametrize("kind", ("trace", "cfg"))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_laps_agree_and_the_latch_is_rarely_called(
+            self, fixed_regions, monkeypatch, shape, kind):
+        program = _counted_loop_program(**self.SHAPES[shape])
+        selector = fixed_regions(_counted_loop_regions(kind))
+        calls = _counting_latch_calls(monkeypatch)
+        fused = _agree(program, selector)
+        fused_calls = len(calls)
+        del calls[:]
+        push = Simulator(program, selector).run_push(
+            ExecutionEngine(program).run_into)
+        assert fingerprint(push) == fingerprint(fused)
+        (region,) = fused.regions
+        assert region.cycle_backs > 100
+        # Each activation calls the latch about three times, not once
+        # per lap.
+        assert len(calls) > 8 * fused_calls
+
+    @pytest.mark.parametrize("kind", ("trace", "cfg"))
+    def test_budgets_ending_inside_laps_and_the_entry_run(
+            self, fixed_regions, monkeypatch, kind):
+        program = _counted_loop_program(body=3)
+        selector = fixed_regions(_counted_loop_regions(kind))
+        cuts = set()
+        run_laps, advance = WalkTable.run_laps, WalkTable.advance
+
+        def laps_spy(self, budget):
+            if budget // self.cycle_len < self.latch_cell[0] - 1:
+                cuts.add("laps")
+            return run_laps(self, budget)
+
+        def advance_spy(self, pos, span, hits=1):
+            if pos == self.entry_pos and span < self.run_len[pos]:
+                cuts.add("entry run")
+            return advance(self, pos, span, hits)
+
+        monkeypatch.setattr(WalkTable, "run_laps", laps_spy)
+        monkeypatch.setattr(WalkTable, "advance", advance_spy)
+        # The first activation enters the region at step 8 and walks
+        # its laps in 5-step strides from step 13.
+        for max_steps in range(100, 112):
+            _agree(program, selector, max_steps=max_steps)
+        assert cuts == {"laps", "entry run"}
+
+    def test_observed_steps_turn_laps_off(self, fixed_regions, lap_budgets):
+        program = _counted_loop_program(body=3)
+        selector = fixed_regions(_counted_loop_regions("trace"))
+        _agree(program, selector, sample_every=7)
+        assert not lap_budgets
+        _agree(program, selector)
+        assert lap_budgets
+
+    def test_replays_never_count(self, fixed_regions, lap_budgets, tmp_path):
+        program = _counted_loop_program(body=3, jitter=9)
+        selector = fixed_regions(_counted_loop_regions("trace"))
+        path = tmp_path / "counted.rtrc"
+        collect_trace(ExecutionEngine(program, seed=4), path)
+        replay = Simulator(program, selector).run_push(
+            lambda consume: replay_trace_into(path, program, consume))
+        assert not lap_budgets
+        assert fingerprint(replay) == fingerprint(
+            _agree(program, selector, seed=4))
+        assert lap_budgets
+
+
+class TestLinksInsideTheWalk:
+    """A static exit whose link slot is patched switches tables inside
+    the walk: the same exits, entries, transitions and edges as the
+    reference, into regions a bounded cache later evicts too."""
+
+    @pytest.mark.parametrize("policy", ("fifo", "flush"))
+    @pytest.mark.parametrize("selector", ("net", "lei"))
+    def test_links_into_regions_evicted_mid_run(self, selector, policy):
+        program = build_micro("linked_chain", iterations=30)
+        config = SystemConfig(cache_capacity_bytes=200,
+                              cache_eviction_policy=policy,
+                              net_threshold=6, lei_threshold=5)
+        sink = CollectingSink()
+        fused = simulate(program, selector, config, seed=1,
+                         observer=Observer(sink=sink))
+        reference = simulate(program, selector, config, seed=1, fast=False)
+        assert fingerprint(fused) == fingerprint(reference)
+        # Entries that the interpreter did not make came through links.
+        from_interpreter = Counter(
+            event.payload["order"] for event in sink.by_kind("cache_entered"))
+        evicted = {event.payload["order"]
+                   for event in sink.by_kind("cache_evicted")}
+        linked_then_evicted = [
+            region for region in fused.regions
+            if region.selection_order in evicted
+            and region.entry_count > from_interpreter[region.selection_order]
+        ]
+        assert len(linked_then_evicted) > 10
+
+    def test_linked_exit_edges_reach_the_profile(self, chain_program):
+        result = _agree(chain_program, "net", seed=1)
+        block = chain_program.block_by_full_label
+        # Each segment's loop falls into the next one's head: a linked
+        # exit once both regions are resident.
+        assert result.stats.region_transitions > 100
+        assert result.edge_profile[(block("main:b0"), block("main:h1"))] == 60

@@ -5,8 +5,9 @@ by pull (``Simulator.run``) or by push (``Simulator.run_push``, used
 for replay), and the fully fused loop (``Simulator.run_program``).
 Everything here pins them to each other: for every (benchmark ×
 selector) cell the fused loop and both feeds of the reference must
-agree *bit for bit* — metric report, raw run statistics, edge profile,
-selector diagnostics and timeline samples.
+agree *bit for bit* on the fingerprint of ``tests/identity.py`` —
+metric report, raw run statistics, edge profile, selector diagnostics,
+timeline samples, icache counts and every region's own counters.
 
 Replay is held to the same standard: a collected trace replayed
 pulled (the reference state machine) and pushed (the fused core) must
@@ -27,11 +28,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cache.icache import InstructionCache
 from repro.config import SystemConfig
 from repro.errors import TraceFormatError
 from repro.execution.engine import ExecutionEngine
 from repro.metrics.linking import inter_region_links, resident_inter_region_links
-from repro.metrics.summary import MetricReport
 from repro.program.builder import ProgramBuilder
 from repro.selection.registry import RELATED_SELECTOR_NAMES, SELECTOR_NAMES
 from repro.system.simulator import Simulator, simulate
@@ -50,7 +51,9 @@ from repro.tracing.records import (
     RECORD_HEAD,
     RECORD_TARGET,
 )
-from repro.workloads import build_benchmark
+from repro.workloads import benchmark_names, build_benchmark
+
+from .identity import fingerprint
 
 ALL_SELECTORS = SELECTOR_NAMES + RELATED_SELECTOR_NAMES
 BENCHMARKS = ("gzip", "mcf", "vortex")
@@ -63,29 +66,13 @@ def programs():
     return {name: build_benchmark(name, scale=SCALE) for name in BENCHMARKS}
 
 
-def _fingerprint(result):
-    """Everything a run measures, in comparable form."""
-    stats = {
-        name: getattr(result.stats, name) for name in result.stats.__slots__
-    }
-    return (
-        MetricReport.from_result(result),
-        stats,
-        result.edge_profile,
-        result.selector_diagnostics,
-        result.samples,
-        result.peak_counters,
-        result.peak_observed_trace_bytes,
-    )
-
-
 class TestFusedVersusReference:
     @pytest.mark.parametrize("selector", ALL_SELECTORS)
     @pytest.mark.parametrize("bench", BENCHMARKS)
     def test_bit_identical_results(self, programs, bench, selector):
         fast = simulate(programs[bench], selector, seed=0, fast=True)
         ref = simulate(programs[bench], selector, seed=0, fast=False)
-        assert _fingerprint(fast) == _fingerprint(ref)
+        assert fingerprint(fast) == fingerprint(ref)
 
     def test_samples_identical_between_paths(self, programs):
         fast = simulate(programs["mcf"], "lei", seed=0, sample_every=500,
@@ -200,7 +187,39 @@ class TestBoundedCacheIdentity:
         assert fast.cache_evictions > 0
         assert fast.cache_evictions == ref.cache_evictions
         assert fast.regenerated_regions == ref.regenerated_regions
-        assert _fingerprint(fast) == _fingerprint(ref)
+        assert fingerprint(fast) == fingerprint(ref)
+
+
+#: Every SPEC stand-in twice, unbounded under one selector and in a
+#: 300-byte FIFO cache under another, so each selector runs in both.
+OBSERVED_CELLS = [
+    (bench, ALL_SELECTORS[(i + shift) % len(ALL_SELECTORS)], capacity)
+    for i, bench in enumerate(benchmark_names())
+    for shift, capacity in ((0, None), (3, 300))
+]
+
+
+class TestObservedStepsIdentity:
+    """With an icache model and a timeline sampler the fused loop walks
+    step by step, with no static runs or counted laps, but it still
+    links regions inside its walk.  Icache accesses and misses and
+    every timeline sample must match the reference's."""
+
+    @pytest.mark.parametrize(
+        "bench,selector,capacity", OBSERVED_CELLS,
+        ids=[f"{b}-{s}-{c or 'unbounded'}" for b, s, c in OBSERVED_CELLS])
+    def test_icache_and_samples_identical(self, bench, selector, capacity):
+        program = build_benchmark(bench, scale=SCALE)
+        config = SystemConfig(cache_capacity_bytes=capacity,
+                              cache_eviction_policy="fifo")
+
+        def run(fast):
+            return simulate(program, selector, config, seed=3, fast=fast,
+                            icache=InstructionCache(1024), sample_every=97)
+
+        fused, ref = run(True), run(False)
+        assert fingerprint(fused) == fingerprint(ref)
+        assert fused.icache.accesses and fused.samples
 
 
 class TestLinkingIdentity:
@@ -281,8 +300,8 @@ class TestReplayMatchesLive:
         push = Simulator(program, selector, config).run_push(
             lambda consume: replay_trace_into(trace, program, consume)
         )
-        assert _fingerprint(pull) == _fingerprint(live)
-        assert _fingerprint(push) == _fingerprint(live)
+        assert fingerprint(pull) == fingerprint(live)
+        assert fingerprint(push) == fingerprint(live)
 
     def test_push_collection_writes_reference_bytes(self, tmp_path, programs):
         program = programs["gzip"]

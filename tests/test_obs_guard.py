@@ -22,27 +22,7 @@ from repro.obs.sink import CollectingSink
 from repro.system.simulator import simulate
 from repro.workloads import benchmark_names, build_benchmark
 
-
-def result_fingerprint(result):
-    """Every externally meaningful number a run produces."""
-    return {
-        "interp_steps": result.stats.interp_steps,
-        "cache_steps": result.stats.cache_steps,
-        "interp_instructions": result.stats.interp_instructions,
-        "cache_instructions": result.stats.cache_instructions,
-        "cache_entries": result.stats.cache_entries,
-        "cache_exits": result.stats.cache_exits,
-        "region_transitions": result.stats.region_transitions,
-        "regions": [
-            (r.entry.full_label, r.selection_order, r.selected_at_step,
-             r.kind, r.instruction_count)
-            for r in result.regions
-        ],
-        "samples": [(s.step, s.cache_steps, s.regions) for s in result.samples],
-        "evictions": result.cache_evictions,
-        "flushes": result.cache_flushes,
-        "diagnostics": result.selector_diagnostics,
-    }
+from .identity import fingerprint
 
 
 class TestObservabilityChangesNothing:
@@ -52,7 +32,7 @@ class TestObservabilityChangesNothing:
         plain = simulate(program, "lei", seed=1)
         observed = simulate(program, "lei", seed=1,
                             observer=full_observer(profile=True))
-        assert result_fingerprint(observed) == result_fingerprint(plain)
+        assert fingerprint(observed) == fingerprint(plain)
 
     @pytest.mark.parametrize("selector", ["net", "lei", "combined-net",
                                           "combined-lei"])
@@ -62,7 +42,7 @@ class TestObservabilityChangesNothing:
         plain = simulate(program, selector, config, seed=1)
         observed = simulate(program, selector, config, seed=1,
                             observer=full_observer(profile=True))
-        assert result_fingerprint(observed) == result_fingerprint(plain)
+        assert fingerprint(observed) == fingerprint(plain)
 
     def test_metric_counters_reconcile(self):
         program = build_benchmark("mcf", scale=0.05)

@@ -17,7 +17,6 @@ from repro.behavior.models import LoopTrip
 from repro.behavior.rng import SplitMix64
 from repro.config import SystemConfig
 from repro.execution.engine import ExecutionEngine
-from repro.metrics.summary import MetricReport
 from repro.program.builder import ProgramBuilder
 from repro.selection.compact import CompactTrace
 from repro.selection.counters import CounterTable
@@ -28,7 +27,10 @@ from repro.system.simulator import Simulator
 from repro.workloads import motifs
 from repro.workloads.motifs import MotifContext
 
+from .identity import fingerprint
+
 SELECTORS = ("net", "lei", "combined-net", "combined-lei")
+RELATED_SELECTORS = ("mojo", "boa", "wiggins")
 
 
 #: main's motifs.  The call motifs come first, the value examples
@@ -193,19 +195,6 @@ class TestSimulatorConservation:
             assert region.entry in region.block_set
 
 
-def _fingerprint(result):
-    """Report, raw statistics, edge profile and selector diagnostics."""
-    stats = {
-        name: getattr(result.stats, name) for name in result.stats.__slots__
-    }
-    return (
-        MetricReport.from_result(result),
-        stats,
-        result.edge_profile,
-        result.selector_diagnostics,
-    )
-
-
 @pytest.fixture(scope="module")
 def trace_path(tmp_path_factory):
     """One trace file, rewritten by every example that collects."""
@@ -218,11 +207,12 @@ class TestPipelinesAgree:
     a collected trace."""
 
     # Examples run in milliseconds, and only about a third of the
-    # bounded ones select enough regions to evict, so draw more.
-    # Generated runs take a few hundred steps, so a drawn budget below
-    # 500 often stops the run, and its collection, mid-way.
-    @settings(COMMON, max_examples=100)
-    @given(small_programs(), st.sampled_from(SELECTORS),
+    # bounded ones select enough regions to evict, so draw more: 20 per
+    # selector.  Generated runs take a few hundred steps, so a drawn
+    # budget below 500 often stops the run, and its collection,
+    # mid-way.
+    @settings(COMMON, max_examples=140)
+    @given(small_programs(), st.sampled_from(SELECTORS + RELATED_SELECTORS),
            st.sampled_from((None, "fifo", "flush")),
            st.one_of(st.just(30_000), st.integers(1, 500)))
     def test_pull_push_and_fused_fingerprints_equal(
@@ -230,9 +220,13 @@ class TestPipelinesAgree:
         from repro.tracing import collect_trace, replay_trace, replay_trace_into
 
         program, seed = program_seed
+        # Low enough that every selector, the related ones included,
+        # selects within a few dozen steps.
         config = SystemConfig(net_threshold=6, lei_threshold=5,
                               combined_net_t_start=3, combined_lei_t_start=2,
-                              combine_t_prof=3, combine_t_min=2)
+                              combine_t_prof=3, combine_t_min=2,
+                              mojo_exit_threshold=3, boa_threshold=4,
+                              sampling_period=20, sampling_window=40)
 
         def engine():
             return ExecutionEngine(program, seed=seed, max_steps=max_steps)
@@ -252,8 +246,8 @@ class TestPipelinesAgree:
         fused = Simulator(program, selector, config).run_program(engine())
         if policy is not None and len(unbounded.regions) >= 2:
             assert pull.cache_evictions > 0
-        assert _fingerprint(push) == _fingerprint(pull)
-        assert _fingerprint(fused) == _fingerprint(pull)
+        assert fingerprint(push) == fingerprint(pull)
+        assert fingerprint(fused) == fingerprint(pull)
 
         # Collect once, then replay on the reference state machine
         # (pulled) and on the fused core (pushed).
@@ -262,8 +256,8 @@ class TestPipelinesAgree:
             replay_trace(trace_path, program))
         replay_fused = Simulator(program, selector, config).run_push(
             lambda consume: replay_trace_into(trace_path, program, consume))
-        assert _fingerprint(replay_pull) == _fingerprint(pull)
-        assert _fingerprint(replay_fused) == _fingerprint(pull)
+        assert fingerprint(replay_pull) == fingerprint(pull)
+        assert fingerprint(replay_fused) == fingerprint(pull)
 
 
 class TestLEITraceProperties:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import SystemConfig
-from repro.errors import ServeError, StoreError
+from repro.errors import JobError, ServeError, StoreError
 from repro.obs import CollectingSink, MetricsRegistry, Observer
 from repro.serve import (
     CellRequest,
@@ -196,6 +196,31 @@ class TestSingleFlight:
         assert second[1] == "store"
         assert stats.jobs_launched == 1
         assert first[0] == second[0]
+
+    def test_a_failing_cell_fails_only_itself(self, tmp_path):
+        # A valid request whose worker raises OverflowError on every
+        # attempt (LEI sizes its history buffer from it), queued ahead
+        # of a valid batch-mate.
+        bad = _request(selector="lei",
+                       config={"history_buffer_size": 10**400})
+        good = _request(seed=2)
+
+        async def scenario(service):
+            failing = asyncio.ensure_future(service.resolve(bad))
+            while not service.inflight:
+                await asyncio.sleep(0.001)
+            served = await service.resolve(good)
+            with pytest.raises(JobError) as failure:
+                await failing
+            return served, failure.value, service.stats, service.inflight
+
+        served, error, stats, inflight = _run_service(
+            tmp_path, scenario, batch_window=0.2, max_retries=0, backoff=0)
+        assert served[1] == "computed"
+        assert "OverflowError" in str(error) and "\n" not in str(error)
+        # One batch held both cells; the good one ran in the next.
+        assert (stats.batches, stats.failures, stats.computed) == (2, 1, 1)
+        assert inflight == 0
 
     def test_resolve_before_start_rejected(self, tmp_path):
         service = SimulationService(ResultStore(str(tmp_path / "store")))
