@@ -229,8 +229,10 @@ class CFGRegion(Region):
                     edge_set.add((block, block.fallthrough))
         self._edges = frozenset(edge_set)
         #: Blocks whose transfer target is dynamic (returns, indirect
-        #: jumps) — precomputed so the simulator's fused walk can apply
-        #: the observed-edge rule without re-deriving it per step.
+        #: jumps) — precomputed so :meth:`stays_internal`, which the
+        #: reference state machine calls per step, applies the
+        #: observed-edge rule without re-deriving it.  The fused walk
+        #: reads :attr:`edges` instead, when it compiles its table.
         self.dynamic_blocks: FrozenSet[BasicBlock] = frozenset(
             block for block in block_set
             if block.terminator.kind.target_is_dynamic

@@ -3,9 +3,9 @@
 A :class:`Step` records one executed basic block together with the
 control transfer that ended it.  This is exactly the information Pin's
 basic-block instrumentation gives the paper's framework: the block, and
-for its terminating branch the source and target addresses and whether
-it was taken.  Source/target addresses are derived from the blocks
-rather than stored, keeping the event small.
+for its terminating branch whether it was taken and where it went.
+Addresses are the blocks' own (``block.end_address``,
+``target.address``), so the event stores none.
 
 :class:`Step` is the record of a *pulled* stream
 (:meth:`ExecutionEngine.run
@@ -60,26 +60,6 @@ class Step:
 
     def __hash__(self) -> int:
         return hash((self.block, self.taken, self.target))
-
-    @property
-    def src_address(self) -> int:
-        """Address of the transferring instruction (block's last byte)."""
-        assert self.block.end_address is not None
-        return self.block.end_address
-
-    @property
-    def tgt_address(self) -> Optional[int]:
-        if self.target is None:
-            return None
-        return self.target.address
-
-    @property
-    def is_backward(self) -> bool:
-        """True for a taken branch to an address not above its source."""
-        if not self.taken or self.target is None:
-            return False
-        assert self.target.address is not None and self.block.end_address is not None
-        return self.target.address <= self.block.end_address
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         arrow = "=>" if self.taken else "->"

@@ -170,7 +170,7 @@ def run_grid(
 
         engine = JobEngine(
             grid_cell,
-            workers=min(workers, len(jobs)),
+            workers=workers,
             timeout=job_timeout,
             max_retries=max_retries,
             backoff=backoff,

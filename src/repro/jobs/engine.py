@@ -1,4 +1,4 @@
-"""The job engine: retries, timeouts and checkpointing over processes.
+"""The job engine: retries and timeouts over processes.
 
 Design notes.  Each job runs in its **own** worker process (bounded to
 ``workers`` concurrent), not in a long-lived pool: a pool shares fate
@@ -11,7 +11,9 @@ simulate millions of basic-block events.
 
 ``workers <= 1`` executes jobs inline in the parent (no subprocess at
 all): this is the bit-identical serial reference path, where injected
-crashes degrade to exceptions and timeouts cannot be enforced.
+crashes degrade to exceptions and timeouts cannot be enforced.  With
+more workers a lone job also runs inline, unless a timeout is set: a
+timeout is enforced only on a worker process, so it always gets one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import JobError
-from repro.jobs.checkpoint import CheckpointJournal
 from repro.jobs.faults import FaultInjector
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.telemetry import (
@@ -36,6 +37,9 @@ from repro.obs.telemetry import (
 
 #: Scheduler poll interval while worker processes run, seconds.
 _POLL_SECONDS = 0.005
+
+#: Each retry waits this many times longer than the one before it.
+BACKOFF_FACTOR = 2.0
 
 
 def pick_mp_context(method: Optional[str] = None):
@@ -74,7 +78,6 @@ class JobOutcome:
     result: Any
     attempts: int
     elapsed_seconds: float
-    restored: bool = False
 
 
 def _worker_entry(conn, worker, job_id: str, payload, attempt: int,
@@ -135,7 +138,7 @@ class JobEngine:
     ``max_retries`` bounds *re*-executions: a job may run at most
     ``max_retries + 1`` times before :class:`~repro.errors.JobError`
     aborts the run.  Retry delays grow geometrically from ``backoff``
-    by ``backoff_factor`` per failed attempt.
+    by :data:`BACKOFF_FACTOR` per failed attempt.
     """
 
     def __init__(
@@ -145,10 +148,8 @@ class JobEngine:
         timeout: Optional[float] = None,
         max_retries: int = 2,
         backoff: float = 0.05,
-        backoff_factor: float = 2.0,
         observer: Optional[Observer] = None,
         faults: Optional[FaultInjector] = None,
-        checkpoint: Optional[CheckpointJournal] = None,
         mp_context: Optional[Any] = None,
         on_complete: Optional[Callable[[str, Any], None]] = None,
         telemetry: Optional[FleetTelemetry] = None,
@@ -160,10 +161,8 @@ class JobEngine:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self.backoff_factor = backoff_factor
         self.obs = observer if observer is not None else NULL_OBSERVER
         self.faults = faults
-        self.checkpoint = checkpoint
         self._mp_context = mp_context
         #: Called in the parent as each job completes — the hook that
         #: lets callers persist results incrementally, so an aborted
@@ -186,36 +185,21 @@ class JobEngine:
                 ).with_context(job_id=job.job_id)
             seen.add(job.job_id)
 
-        outcomes: Dict[str, JobOutcome] = {}
-        todo: List[Job] = []
-        restored = self.checkpoint.load() if self.checkpoint else {}
         for job in jobs:
-            if job.job_id in restored:
-                outcomes[job.job_id] = JobOutcome(
-                    job.job_id, restored[job.job_id],
-                    attempts=0, elapsed_seconds=0.0, restored=True,
-                )
-                self.obs.event("job_restored", 0, job_id=job.job_id)
-            else:
-                todo.append(job)
-                self.obs.event("job_submitted", 0, job_id=job.job_id)
-
-        if self.workers <= 1 or len(todo) <= 1:
-            computed = self._run_serial(todo)
+            self.obs.event("job_submitted", 0, job_id=job.job_id)
+        if self.workers <= 1 or (len(jobs) <= 1 and self.timeout is None):
+            outcomes = self._run_serial(jobs)
         else:
-            computed = self._run_parallel(todo)
-        outcomes.update(computed)
+            outcomes = self._run_parallel(jobs)
         # Input order, so downstream iteration matches the job list.
         return {job.job_id: outcomes[job.job_id] for job in jobs}
 
     # -- shared helpers --------------------------------------------------
     def _retry_delay(self, attempt: int) -> float:
-        return self.backoff * (self.backoff_factor ** (attempt - 1))
+        return self.backoff * (BACKOFF_FACTOR ** (attempt - 1))
 
     def _complete(self, job: Job, result: Any, attempt: int,
                   elapsed: float) -> JobOutcome:
-        if self.checkpoint is not None:
-            self.checkpoint.record(job.job_id, result)
         if self.on_complete is not None:
             self.on_complete(job.job_id, result)
         self.obs.event("job_completed", 0, job_id=job.job_id,

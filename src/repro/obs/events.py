@@ -110,9 +110,6 @@ EVENT_KINDS: Dict[str, EventKind] = {
     "job_failed": EventKind(
         "job", "error",
         "A job exhausted its retry budget and the run aborted."),
-    "job_restored": EventKind(
-        "job", "debug",
-        "A job was satisfied from a checkpoint journal without running."),
     # -- result store ----------------------------------------------------
     "store_hit": EventKind(
         "store", "debug",

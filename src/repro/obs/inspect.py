@@ -21,6 +21,9 @@ class InspectSummary:
     """Aggregates computed from one event stream."""
 
     total_events: int = 0
+    #: Lowest and highest step seen.  Not the first and last event's:
+    #: a merged fleet log is ordered by time, and its job events sit
+    #: at step 0 on both ends.
     first_step: Optional[int] = None
     last_step: Optional[int] = None
     #: kind -> count.
@@ -47,7 +50,6 @@ class InspectSummary:
     jobs_completed: int = 0
     jobs_retried: int = 0
     jobs_failed: int = 0
-    jobs_restored: int = 0
     #: job_id -> wall seconds, from the submitted->completed timestamp
     #: delta (falls back to the completed event's ``elapsed`` payload
     #: for logs written before events carried timestamps).
@@ -64,7 +66,7 @@ class InspectSummary:
     @property
     def total_job_events(self) -> int:
         return (self.jobs_submitted + self.jobs_completed
-                + self.jobs_retried + self.jobs_failed + self.jobs_restored)
+                + self.jobs_retried + self.jobs_failed)
 
     def top_rejected(self, limit: int = 10) -> List[Tuple[str, int]]:
         return sorted(
@@ -82,9 +84,11 @@ def summarize_events(events: Iterable[Event]) -> InspectSummary:
     summary = InspectSummary()
     for event in events:
         summary.total_events += 1
-        if summary.first_step is None:
-            summary.first_step = event.step
-        summary.last_step = event.step
+        step = event.step
+        if summary.first_step is None or step < summary.first_step:
+            summary.first_step = step
+        if summary.last_step is None or step > summary.last_step:
+            summary.last_step = step
         summary.by_kind[event.kind] = summary.by_kind.get(event.kind, 0) + 1
         summary.by_category[event.category] = (
             summary.by_category.get(event.category, 0) + 1
@@ -150,8 +154,6 @@ def summarize_events(events: Iterable[Event]) -> InspectSummary:
             )
         elif kind == "job_failed":
             summary.jobs_failed += 1
-        elif kind == "job_restored":
-            summary.jobs_restored += 1
         elif kind == "run_failed":
             summary.failure = event
     return summary
@@ -208,8 +210,7 @@ def format_summary(summary: InspectSummary) -> str:
             f"job engine: {summary.jobs_submitted} submitted, "
             f"{summary.jobs_completed} completed, "
             f"{summary.jobs_retried} retried, "
-            f"{summary.jobs_failed} failed, "
-            f"{summary.jobs_restored} restored from checkpoint"
+            f"{summary.jobs_failed} failed"
         )
         if summary.job_wall_seconds:
             slowest = sorted(

@@ -252,7 +252,7 @@ class SimulationService:
 
         engine = JobEngine(
             grid_cell,
-            workers=min(self.workers, len(batch)),
+            workers=self.workers,
             timeout=self.job_timeout,
             max_retries=self.max_retries,
             backoff=self.backoff,

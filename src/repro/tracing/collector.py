@@ -10,7 +10,7 @@ from repro.program.cfg import BasicBlock
 from repro.execution.engine import ExecutionEngine
 from repro.execution.events import Step
 from repro.program.program import Program
-from repro.tracing.decoder import TraceReader
+from repro.tracing.decoder import TraceSource
 from repro.tracing.encoder import TraceWriter
 from repro.tracing.records import TraceHeader
 
@@ -44,12 +44,12 @@ def replay_trace(path: PathLike, program: Program) -> Iterator[Step]:
     """Yield the recorded step stream of ``path`` against ``program``.
 
     Feeding it to :meth:`Simulator.run
-    <repro.system.simulator.Simulator.run>` replays any trace, either
-    version, on the reference state machine.
+    <repro.system.simulator.Simulator.run>` replays the trace on the
+    reference state machine.
     """
     with open(path, "rb") as fh:
-        reader = TraceReader(fh, program)
-        yield from reader.steps()
+        source = TraceSource.read(fh, program)
+    yield from source.steps()
 
 
 def replay_trace_into(
@@ -67,26 +67,17 @@ def replay_trace_into(
     ...     lambda consume: replay_trace_into(path, program, consume)
     ... )                                                 # doctest: +SKIP
 
-    A version-2 trace becomes a
-    :class:`~repro.tracing.decoder.TraceSource`.  When ``consumer`` is
-    the simulator's ``consume``, the source is handed to its
-    ``run_engine`` attribute and the replay runs on the fused core;
-    any other consumer is called once per step.  Either way the run
-    must consume the trace exactly, or a
-    :class:`~repro.errors.TraceFormatError` is raised.  A version-1
-    trace is pushed record by record.
+    The trace becomes a :class:`~repro.tracing.decoder.TraceSource`.
+    When ``consumer`` is the simulator's ``consume``, the source is
+    handed to its ``run_engine`` attribute and the replay runs on the
+    fused core; any other consumer is called once per step.  Either way
+    the run must consume the trace exactly, or a
+    :class:`~repro.errors.TraceFormatError` is raised.
 
     Returns the number of steps replayed.
     """
     with open(path, "rb") as fh:
-        reader = TraceReader(fh, program)
-        if reader.header.version == 1:
-            count = 0
-            for step in reader.steps():
-                consumer(step.block, step.taken, step.target)
-                count += 1
-            return count
-        source = reader.source()
+        source = TraceSource.read(fh, program)
     run_engine = getattr(consumer, "run_engine", None)
     if run_engine is not None:
         steps = run_engine(source)

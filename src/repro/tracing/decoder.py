@@ -1,11 +1,10 @@
-"""Readers for the binary trace format.
+"""The reader of the binary trace format.
 
-:class:`TraceReader` reads either version (see
-:mod:`repro.tracing.records`).  A version-1 trace is parsed record by
-record into :class:`Step` objects.  A version-2 trace becomes a
-:class:`TraceSource`: an execution engine whose branch decisions come
-from the trace instead of the branch models, so the simulator's fused
-core can run it like a live engine.
+:meth:`TraceSource.read` checks a trace's header against its program
+and reads its body (layout in :mod:`repro.tracing.records`).  The
+result is a :class:`TraceSource`: an execution engine whose branch
+decisions come from the trace instead of the branch models, so the
+simulator's fused core can run it like a live engine.
 """
 
 from __future__ import annotations
@@ -21,19 +20,7 @@ from repro.execution.events import Step
 from repro.isa.opcodes import BranchKind
 from repro.program.cfg import BasicBlock
 from repro.program.program import Program
-from repro.tracing.records import (
-    COUNTS,
-    FLAG_HAS_TARGET,
-    FLAG_TAKEN,
-    RECORD_HEAD,
-    RECORD_TARGET,
-    TARGET_BYTES,
-    TraceHeader,
-)
-
-#: Version-1 read granularity; records are parsed out of chunks this
-#: large.
-_CHUNK_BYTES = 1 << 20
+from repro.tracing.records import COUNTS, TARGET_BYTES, TraceHeader
 
 #: The eight direction bits of every byte value, least significant
 #: first.
@@ -49,127 +36,8 @@ def _ran_out(what: str) -> Iterator[object]:
     yield  # pragma: no cover - makes this a generator
 
 
-class TraceReader:
-    """Reads a binary trace back against its program.
-
-    The reader checks that the program's name and block count match the
-    header — replaying a trace against the wrong program would produce
-    silently nonsensical results otherwise.  A version-2 body is read
-    whole and its length checked against its counts here, so a
-    truncated or overlong trace fails before anything runs.
-    """
-
-    def __init__(self, stream: BinaryIO, program: Program) -> None:
-        self._stream = stream
-        self.header = TraceHeader.decode(stream)
-        if self.header.program_name != program.name:
-            raise TraceFormatError(
-                f"trace was recorded for program {self.header.program_name!r}, "
-                f"not {program.name!r}"
-            )
-        if self.header.block_count != program.block_count:
-            raise TraceFormatError(
-                f"trace expects {self.header.block_count} blocks but program "
-                f"{program.name!r} has {program.block_count}"
-            )
-        self._program = program
-        if self.header.version != 1:
-            self._read_body()
-
-    def _read_body(self) -> None:
-        counts = self._stream.read(COUNTS.size)
-        if len(counts) != COUNTS.size:
-            raise TraceFormatError("truncated trace counts")
-        steps, conditionals, targets = COUNTS.unpack(counts)
-        if conditionals + targets > steps:
-            raise TraceFormatError(
-                f"trace counts {conditionals} conditional outcomes and "
-                f"{targets} indirect targets in only {steps} steps"
-            )
-        bit_bytes = (conditionals + 7) // 8
-        expected = bit_bytes + TARGET_BYTES * targets
-        body = self._stream.read()
-        if len(body) < expected:
-            raise TraceFormatError(
-                f"truncated trace body: {len(body)} of {expected} bytes"
-            )
-        if len(body) > expected:
-            raise TraceFormatError(
-                f"{len(body) - expected} trailing bytes in trace stream"
-            )
-        target_ids = array("I", body[bit_bytes:])
-        if sys.byteorder == "big":
-            target_ids.byteswap()
-        self._steps = steps
-        self._conditionals = conditionals
-        self._bits = body[:bit_bytes]
-        self._target_ids = target_ids
-
-    def source(self) -> "TraceSource":
-        """The version-2 trace as an engine (see :class:`TraceSource`)."""
-        if self.header.version == 1:
-            raise TraceFormatError(
-                "a version-1 trace holds steps, not decisions; read it "
-                "with steps()"
-            )
-        return TraceSource(self._program, self.header, self._steps,
-                           self._bits, self._conditionals, self._target_ids)
-
-    def steps(self) -> Iterator[Step]:
-        """Yield all recorded steps in order.
-
-        The one parser of version-1 traces; a version-2 trace yields its
-        :class:`TraceSource`'s walk.
-        """
-        if self.header.version == 1:
-            return self._records()
-        return self.source().steps()
-
-    def _records(self) -> Iterator[Step]:
-        blocks = self._program.blocks
-        head_size = RECORD_HEAD.size
-        target_size = RECORD_TARGET.size
-        unpack_head = RECORD_HEAD.unpack_from
-        unpack_target = RECORD_TARGET.unpack_from
-
-        buffer = b""
-        offset = 0
-        while True:
-            if offset + head_size > len(buffer):
-                chunk = self._stream.read(_CHUNK_BYTES)
-                buffer = buffer[offset:] + chunk
-                offset = 0
-                if len(buffer) < head_size:
-                    if buffer:
-                        raise TraceFormatError("trailing bytes in trace stream")
-                    return
-            block_id, flags = unpack_head(buffer, offset)
-            offset += head_size
-            target = None
-            if flags & FLAG_HAS_TARGET:
-                if offset + target_size > len(buffer):
-                    chunk = self._stream.read(_CHUNK_BYTES)
-                    buffer = buffer[offset:] + chunk
-                    offset = 0
-                    if len(buffer) < target_size:
-                        raise TraceFormatError("truncated target record")
-                (target_id,) = unpack_target(buffer, offset)
-                offset += target_size
-                try:
-                    target = blocks[target_id]
-                except IndexError:
-                    raise TraceFormatError(
-                        f"target block id {target_id} out of range"
-                    ) from None
-            try:
-                block = blocks[block_id]
-            except IndexError:
-                raise TraceFormatError(f"block id {block_id} out of range") from None
-            yield Step(block, bool(flags & FLAG_TAKEN), target)
-
-
 class TraceSource(ExecutionEngine):
-    """A version-2 trace's decisions, as a single-use execution engine.
+    """A trace's decisions, as a single-use execution engine.
 
     It overrides only :meth:`_decider_for`: a conditional branch takes
     the next recorded direction bit, an indirect jump the next recorded
@@ -183,8 +51,55 @@ class TraceSource(ExecutionEngine):
 
     ``max_steps`` is the recorded step count.  After a run,
     :meth:`finish` checks that the walk lasted exactly that long and
-    consumed every recorded outcome.
+    consumed every recorded outcome.  Build one with :meth:`read`.
     """
+
+    @classmethod
+    def read(cls, stream: BinaryIO, program: Program) -> "TraceSource":
+        """Read the trace in ``stream`` as an engine over ``program``.
+
+        The header must name ``program`` and its block count: replaying
+        a trace against the wrong program would produce silently
+        nonsensical results otherwise.  The body is read whole and its
+        length checked against its counts, so a truncated or overlong
+        trace fails before anything runs.
+        """
+        header = TraceHeader.decode(stream)
+        if header.program_name != program.name:
+            raise TraceFormatError(
+                f"trace was recorded for program {header.program_name!r}, "
+                f"not {program.name!r}"
+            )
+        if header.block_count != program.block_count:
+            raise TraceFormatError(
+                f"trace expects {header.block_count} blocks but program "
+                f"{program.name!r} has {program.block_count}"
+            )
+        counts = stream.read(COUNTS.size)
+        if len(counts) != COUNTS.size:
+            raise TraceFormatError("truncated trace counts")
+        steps, conditionals, targets = COUNTS.unpack(counts)
+        if conditionals + targets > steps:
+            raise TraceFormatError(
+                f"trace counts {conditionals} conditional outcomes and "
+                f"{targets} indirect targets in only {steps} steps"
+            )
+        bit_bytes = (conditionals + 7) // 8
+        expected = bit_bytes + TARGET_BYTES * targets
+        body = stream.read()
+        if len(body) < expected:
+            raise TraceFormatError(
+                f"truncated trace body: {len(body)} of {expected} bytes"
+            )
+        if len(body) > expected:
+            raise TraceFormatError(
+                f"{len(body) - expected} trailing bytes in trace stream"
+            )
+        target_ids = array("I", body[bit_bytes:])
+        if sys.byteorder == "big":
+            target_ids.byteswap()
+        return cls(program, header, steps, body[:bit_bytes], conditionals,
+                   target_ids)
 
     def __init__(self, program: Program, header: TraceHeader, steps: int,
                  bits: bytes, conditionals: int, target_ids: array) -> None:

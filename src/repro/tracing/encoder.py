@@ -1,4 +1,4 @@
-"""Streaming writer for the binary trace format (version 2)."""
+"""Streaming writer for the binary trace format."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ from array import array
 from typing import BinaryIO
 
 from repro.errors import TraceFormatError
-from repro.execution.events import Step
 from repro.isa.opcodes import BranchKind
-from repro.tracing.records import COUNTS, VERSION, TraceHeader
+from repro.tracing.records import COUNTS, TraceHeader
 
 #: Direction bits are buffered one byte each and packed eight to a
 #: byte whenever this many accumulate (a multiple of 8).
@@ -22,7 +21,7 @@ _INDIRECT = BranchKind.INDIRECT
 
 def pack_bits(bits: bytearray) -> bytes:
     """Pack 0/1 bytes into bits, least significant bit first, padding
-    the last byte with zero bits (the v2 direction-bit layout)."""
+    the last byte with zero bits (the trace's direction-bit layout)."""
     if not bits:
         return b""
     # Bit i of the integer is bits[i]; little-endian bytes then put it
@@ -32,7 +31,7 @@ def pack_bits(bits: bytearray) -> bytes:
 
 
 class TraceWriter:
-    """Writes a version-2 trace; use as a context manager.
+    """Writes a trace; use as a context manager.
 
     ``write`` keeps the direction of each conditional branch and the
     target of each indirect jump, and counts steps; the body is written
@@ -46,11 +45,6 @@ class TraceWriter:
     """
 
     def __init__(self, stream: BinaryIO, header: TraceHeader) -> None:
-        if header.version != VERSION:
-            raise TraceFormatError(
-                f"the writer produces version {VERSION} traces, "
-                f"not version {header.version}"
-            )
         self._stream = stream
         self._bits = bytearray()
         self._packed = bytearray()
@@ -65,8 +59,8 @@ class TraceWriter:
         Its signature matches the consumer contract of
         :meth:`ExecutionEngine.run_into
         <repro.execution.engine.ExecutionEngine.run_into>`, so a bound
-        ``writer.write`` collects a trace with no :class:`Step`
-        allocation at all.
+        ``writer.write`` collects a trace with no
+        :class:`~repro.execution.events.Step` allocation at all.
         """
         if self._closed:
             raise TraceFormatError("writer already closed")
@@ -80,9 +74,6 @@ class TraceWriter:
         elif kind is _INDIRECT:
             self._targets.append(target.block_id)
         self.steps_written += 1
-
-    def write_step(self, step: Step) -> None:
-        self.write(step.block, step.taken, step.target)
 
     def close(self) -> None:
         if self._closed:

@@ -1,11 +1,10 @@
-"""On-disk record formats for the binary trace format.
+"""On-disk layout of the binary trace format.
 
-Every trace starts with the same header (little-endian throughout):
-magic ``b"RTRC"``, version ``u16``, name length ``u16``, UTF-8 program
-name, block count ``u32``, seed ``u64``.
+A trace starts with a header (little-endian throughout): magic
+``b"RTRC"``, version ``u16`` (always 2), name length ``u16``, UTF-8
+program name, block count ``u32``, seed ``u64``.
 
-**Version 2** (what :func:`~repro.tracing.collector.collect_trace`
-writes) stores only the outcomes the program cannot supply, in the
+The body stores only the outcomes the program cannot supply, in the
 spirit of the paper's Figure 14:
 
 * counts: steps ``u64``, conditional outcomes ``u64``, indirect
@@ -26,10 +25,6 @@ that stopped at its step budget.  The format needs no knowledge of
 branch models: every executed conditional has a bit, whatever its
 model.
 
-**Version 1** (read only) has one record per step: block id ``u32``,
-flags ``u8`` (bit 0 = taken, bit 1 = has target), and when bit 1 is set
-the target block id ``u32``.
-
 Block ids are the dense ids assigned by program finalization, so a
 trace file is only meaningful together with the program that produced
 it; the header's name and block count are a cheap consistency check for
@@ -44,22 +39,13 @@ from dataclasses import dataclass
 from repro.errors import TraceFormatError
 
 MAGIC = b"RTRC"
-#: The version :class:`~repro.tracing.encoder.TraceWriter` writes.
+#: The one version written and read.
 VERSION = 2
-#: Versions :class:`~repro.tracing.decoder.TraceReader` reads.
-READABLE_VERSIONS = (1, 2)
 
 _HEADER_FIXED = struct.Struct("<4sHH")
 _HEADER_TAIL = struct.Struct("<IQ")
 
-# Version 1: one record per step.
-RECORD_HEAD = struct.Struct("<IB")
-RECORD_TARGET = struct.Struct("<I")
-
-FLAG_TAKEN = 0x01
-FLAG_HAS_TARGET = 0x02
-
-# Version 2: the counts that open the body.
+#: The counts that open the body.
 COUNTS = struct.Struct("<QQQ")
 #: Bytes per recorded indirect target id.
 TARGET_BYTES = 4
@@ -67,19 +53,18 @@ TARGET_BYTES = 4
 
 @dataclass(frozen=True)
 class TraceHeader:
-    """Identifies the program a trace belongs to, and its format."""
+    """Identifies the program a trace belongs to."""
 
     program_name: str
     block_count: int
     seed: int
-    version: int = VERSION
 
     def encode(self) -> bytes:
         name_bytes = self.program_name.encode("utf-8")
         if len(name_bytes) > 0xFFFF:
             raise TraceFormatError("program name too long for trace header")
         return (
-            _HEADER_FIXED.pack(MAGIC, self.version, len(name_bytes))
+            _HEADER_FIXED.pack(MAGIC, VERSION, len(name_bytes))
             + name_bytes
             + _HEADER_TAIL.pack(self.block_count, self.seed)
         )
@@ -92,7 +77,7 @@ class TraceHeader:
         magic, version, name_length = _HEADER_FIXED.unpack(fixed)
         if magic != MAGIC:
             raise TraceFormatError(f"bad trace magic {magic!r}")
-        if version not in READABLE_VERSIONS:
+        if version != VERSION:
             raise TraceFormatError(f"unsupported trace version {version}")
         name_bytes = stream.read(name_length)
         if len(name_bytes) != name_length:
@@ -101,4 +86,4 @@ class TraceHeader:
         if len(tail) != _HEADER_TAIL.size:
             raise TraceFormatError("truncated trace header tail")
         block_count, seed = _HEADER_TAIL.unpack(tail)
-        return cls(name_bytes.decode("utf-8"), block_count, seed, version)
+        return cls(name_bytes.decode("utf-8"), block_count, seed)

@@ -62,7 +62,7 @@ class TestLoops:
         steps = ExecutionEngine(simple_loop_program).run_to_list()
         first = steps[0]
         assert first.taken
-        assert first.is_backward
+        assert first.block.is_backward_transfer_to(first.target)
 
     def test_loop_exit_falls_through(self, simple_loop_program):
         steps = ExecutionEngine(simple_loop_program).run_to_list()

@@ -99,6 +99,18 @@ class TestStoreIntegration:
         assert resumed_store.stats.puts == 2   # only missing recomputed
         assert resumed.reports == serial_grid.reports
 
+    def test_a_lone_missing_cell_is_held_to_the_job_timeout(self,
+                                                             tmp_path):
+        store = ResultStore(str(tmp_path))
+        small_grid(store=store, code_version="test", selectors=("net",))
+        small_grid(store=store, code_version="test", benchmarks=("gzip",))
+        assert store.stats.puts == 3  # every cell but mcf:lei
+        with pytest.raises(JobError, match="timeout after 0.500s") as exc:
+            small_grid(store=store, code_version="test", workers=2,
+                       job_timeout=0.5, max_retries=0,
+                       faults=FaultInjector(hangs={"mcf:lei": (1, 5.0)}))
+        assert exc.value.context["job_id"] == "mcf:lei"
+
     def test_parallel_crashes_with_store_stay_identical(self, tmp_path,
                                                         serial_grid):
         grid = small_grid(

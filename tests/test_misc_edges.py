@@ -6,30 +6,9 @@ from repro.behavior.models import Bernoulli, DecisionContext, PhaseShift
 from repro.behavior.rng import SplitMix64
 from repro.config import SystemConfig
 from repro.errors import ConfigError, ProgramStructureError
-from repro.execution.events import Step
 from repro.isa.opcodes import BranchKind
 from repro.program.builder import ProgramBuilder
 from repro.program.cfg import Terminator
-
-
-class TestStepProperties:
-    def test_backward_requires_taken(self, simple_loop_program):
-        head = simple_loop_program.block_by_full_label("main:head")
-        taken = Step(head, True, head)
-        fall = Step(head, False, head)
-        assert taken.is_backward
-        assert not fall.is_backward
-
-    def test_halt_step_has_no_target_address(self, straight_line_program):
-        c = straight_line_program.block_by_full_label("main:C")
-        step = Step(c, False, None)
-        assert step.tgt_address is None
-        assert not step.is_backward
-
-    def test_src_address_is_block_end(self, straight_line_program):
-        a = straight_line_program.block_by_full_label("main:A")
-        step = Step(a, False, a.fallthrough)
-        assert step.src_address == a.end_address
 
 
 class TestBlockAtAddress:

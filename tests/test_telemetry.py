@@ -163,6 +163,24 @@ class TestGridTelemetry:
         assert "steps_total" in out
         assert "job engine: 1 submitted, 1 completed" in out
 
+    def test_merged_log_reports_its_whole_step_range(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+        from repro.obs import event_from_dict
+
+        path = str(tmp_path / "telemetry.json")
+        run_grid(workers=2, telemetry_out=path, **self.GRID)
+        events = [event_from_dict(data)
+                  for data in load_telemetry(path)["events"]]
+        # Ordered by time, the log starts and ends with step-0 job
+        # events; the cells' events between them span many steps.
+        assert events[0].step == 0 and events[-1].step == 0
+        last = max(event.step for event in events)
+        assert last > 0
+        assert main(["obs", "report", path]) == 0
+        out = capsys.readouterr().out
+        assert f"{len(events)} events (steps 0..{last})" in out
+
     def test_obs_report_missing_file_is_an_error(self, tmp_path, capsys):
         from repro.cli import main
 
