@@ -222,6 +222,20 @@ class TestSingleFlight:
         assert (stats.batches, stats.failures, stats.computed) == (2, 1, 1)
         assert inflight == 0
 
+    def test_a_lone_cold_cell_is_held_to_the_job_timeout(self, tmp_path):
+        # At scale 50 the cell runs for seconds; alone in its batch it
+        # still gets a worker process, so the timeout can stop it.
+        slow = _request(scale=50.0)
+
+        async def scenario(service):
+            with pytest.raises(JobError, match="timeout after 0.300s"):
+                await service.resolve(slow)
+            return service.stats
+
+        stats = _run_service(tmp_path, scenario, workers=2, job_timeout=0.3,
+                             max_retries=0, backoff=0)
+        assert (stats.jobs_launched, stats.failures) == (1, 1)
+
     def test_resolve_before_start_rejected(self, tmp_path):
         service = SimulationService(ResultStore(str(tmp_path / "store")))
         with pytest.raises(ServeError, match="not running"):
