@@ -36,9 +36,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class CodeCache:
-    """Unbounded cache of selected regions, addressable by entry block."""
+    """Unbounded cache of selected regions, addressable by entry block.
 
-    def __init__(self) -> None:
+    A region's footprint is its instruction bytes plus ``stub_bytes``
+    per exit stub (the config's ``stub_bytes``, which Figure 18's size
+    estimate charges too).
+    """
+
+    def __init__(self, stub_bytes: int = STUB_BYTES) -> None:
         #: Observability handle (rebound by the simulator); the cache
         #: emits ``region_installed`` / ``cache_evicted`` /
         #: ``cache_flushed`` events and the install-side metrics, so
@@ -46,7 +51,12 @@ class CodeCache:
         self.observer: Observer = NULL_OBSERVER
         #: Every region ever selected, in selection order.
         self.regions: List[Region] = []
+        #: Residency.  Insertion order is selection order: a region is
+        #: added when it is selected and removed when it is retired.
         self._by_entry: Dict[BasicBlock, Region] = {}
+        self.stub_bytes = stub_bytes
+        #: Footprint of the resident regions, kept as a running count.
+        self.resident_bytes = 0
         #: The active run's dispatch-compilation layer
         #: (:class:`~repro.cache.dispatch.DispatchTable`), bound by the
         #: fused fast path for the duration of one run so installs and
@@ -103,10 +113,12 @@ class CodeCache:
                 f"#{existing.selection_order}"
             )
         self._make_room(region)
+        size = self.region_bytes(region)
         region.selection_order = self._next_order
         region.selected_at_step = self.now
         region.cache_address = self._alloc_cursor
-        self._alloc_cursor += self.region_bytes(region)
+        self._alloc_cursor += size
+        self.resident_bytes += size
         self._next_order += 1
         self.regions.append(region)
         self._by_entry[region.entry] = region
@@ -141,10 +153,7 @@ class CodeCache:
     @property
     def resident_regions(self) -> List[Region]:
         """Regions currently addressable, in selection order."""
-        return sorted(
-            self._by_entry.values(),
-            key=lambda r: r.selection_order if r.selection_order is not None else -1,
-        )
+        return list(self._by_entry.values())
 
     @property
     def resident_count(self) -> int:
@@ -152,11 +161,8 @@ class CodeCache:
 
     def region_bytes(self, region: Region) -> int:
         """Cache footprint of one region (instruction bytes + stubs)."""
-        return region.instruction_bytes + STUB_BYTES * region.exit_stub_count
-
-    @property
-    def resident_bytes(self) -> int:
-        return sum(self.region_bytes(r) for r in self._by_entry.values())
+        return (region.instruction_bytes
+                + self.stub_bytes * region.exit_stub_count)
 
     # -- aggregate static properties (over everything ever selected) ----
     @property
@@ -199,8 +205,9 @@ class BoundedCodeCache(CodeCache):
     policies; FIFO is the classic baseline).
     """
 
-    def __init__(self, capacity_bytes: int, policy: str = "flush") -> None:
-        super().__init__()
+    def __init__(self, capacity_bytes: int, policy: str = "flush",
+                 stub_bytes: int = STUB_BYTES) -> None:
+        super().__init__(stub_bytes)
         if capacity_bytes < 1:
             raise CacheError(f"capacity must be positive, got {capacity_bytes}")
         if policy not in ("flush", "fifo"):
@@ -240,6 +247,8 @@ class BoundedCodeCache(CodeCache):
         in one place and leak in another.
         """
         del self._by_entry[victim.entry]
+        size = self.region_bytes(victim)
+        self.resident_bytes -= size
         dispatch = self.dispatch
         if dispatch is not None:
             dispatch.retire(victim)
@@ -254,7 +263,7 @@ class BoundedCodeCache(CodeCache):
                 self.now,
                 entry=victim.entry.full_label,
                 order=victim.selection_order,
-                bytes=self.region_bytes(victim),
+                bytes=size,
                 policy=policy,
             )
 
@@ -280,9 +289,11 @@ class BoundedCodeCache(CodeCache):
 
 
 def make_cache(
-    capacity_bytes: Optional[int] = None, policy: str = "flush"
+    capacity_bytes: Optional[int] = None,
+    policy: str = "flush",
+    stub_bytes: int = STUB_BYTES,
 ) -> CodeCache:
     """Build the cache a config asks for (unbounded when no capacity)."""
     if capacity_bytes is None:
-        return CodeCache()
-    return BoundedCodeCache(capacity_bytes, policy)
+        return CodeCache(stub_bytes)
+    return BoundedCodeCache(capacity_bytes, policy, stub_bytes)

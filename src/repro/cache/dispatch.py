@@ -19,8 +19,8 @@ code *once* and then executes it without consulting its own tables:
   position a taken or fall-through transfer stays on (the region's own
   stay rule, evaluated once), a target map for returns and indirect
   jumps, *static runs* — chains of constant decisions the walker
-  executes in one bound — and the *counted latch* of a ``LoopTrip``
-  cycle back to the entry, whose laps the walker runs in one bound.
+  executes in one bound — and the *counted latch* of a cycle back to
+  the entry, whose laps the walker runs in one bound.
 * Direct region→region **link patching** — whenever a region exit's
   statically-known target is another resident region's entry, the walk
   table slot holds a direct reference to that region's table, so the
@@ -96,18 +96,20 @@ class WalkTable:
       leaving its loop: it binds the linked table's ``walk_locals`` in
       one tuple unpack;
     * ``latch`` — the *counted latch*, or ``-1``: a position whose
-      decider carries a ``LoopTrip`` remaining-count ``cell``
+      decider exposes ``laps(limit)``, whose taken transfer stays on the
+      entry, and which the entry's static run lands on (or which is the
+      entry).  One lap of its cycle is the entry's run plus the latch:
+      ``cycle_len`` steps, ``cycle_insts`` instructions.  Between two
+      latch decisions only the entry's static run executes, and it
+      decides nothing, so the latch's next decisions are its own:
+      ``laps(limit)`` takes up to ``limit`` further taken decisions at
+      once and returns how many it took, and :meth:`run_laps` walks
+      that many laps in one bound.  A live ``LoopTrip`` latch takes
+      them off its remaining count
       (:meth:`ExecutionEngine._decider_for
-      <repro.execution.engine.ExecutionEngine._decider_for>`), whose
-      taken transfer stays on the entry, and which the entry's static
-      run lands on (or which is the entry).  One lap of its cycle is
-      the entry's run plus the latch: ``cycle_len`` steps,
-      ``cycle_insts`` instructions.  Once the latch is taken onto the
-      entry, its next ``cell[0] - 1`` decisions are taken with no RNG
-      draw (a jittered count draws only when the cell is empty), and
-      the lap between them is constant, so :meth:`run_laps` walks
-      those laps in one bound.  A replay's latch decides by the trace's
-      direction bits, has no cell, and is never counted.
+      <repro.execution.engine.ExecutionEngine._decider_for>`), a
+      replay's conditional latch off the run of 1-bits at the trace's
+      bit cursor (:class:`~repro.tracing.decoder.TraceSource`).
 
     ``taken_hits`` / ``fall_hits`` (and the ``targets`` slots) count
     the edges walked out of each position by direction, whether the
@@ -122,7 +124,7 @@ class WalkTable:
         "region", "blocks", "entry_pos", "deciders", "counts", "offsets",
         "sizes", "next_taken", "next_fall", "targets", "run_len", "run_end",
         "run_insts", "run_hits", "taken_hits", "fall_hits", "link_taken",
-        "link_fall", "sites", "latch", "latch_cell", "cycle_len",
+        "link_fall", "sites", "latch", "latch_laps", "cycle_len",
         "cycle_insts", "walk_locals",
     )
 
@@ -210,14 +212,14 @@ class WalkTable:
         run lands on (the entry itself when that run is empty)."""
         entry_pos = self.entry_pos
         latch = self.run_end[entry_pos]
-        cell = getattr(self.deciders[latch], "cell", None)
-        if cell is None or self.next_taken[latch] != entry_pos:
+        laps = getattr(self.deciders[latch], "laps", None)
+        if laps is None or self.next_taken[latch] != entry_pos:
             self.latch = -1
-            self.latch_cell = None
+            self.latch_laps = None
             self.cycle_len = self.cycle_insts = 0
             return
         self.latch = latch
-        self.latch_cell = cell
+        self.latch_laps = laps
         self.cycle_len = self.run_len[entry_pos] + 1
         self.cycle_insts = self.run_insts[entry_pos] + self.counts[latch]
 
@@ -280,16 +282,14 @@ class WalkTable:
         return pos, insts
 
     def run_laps(self, budget: int) -> Tuple[int, int]:
-        """Walk every further lap of the counted cycle that the latch's
-        count and a budget of ``budget`` steps allow, right after the
-        latch was taken onto the entry; returns the steps and
-        instructions walked.  The latch ends on a count of at least 1,
-        so its next decision is its own."""
-        cell = self.latch_cell
-        laps = min(cell[0] - 1, budget // self.cycle_len)
-        if laps <= 0:
+        """Walk every further lap of the counted cycle that the latch
+        takes within a budget of ``budget`` steps, right after the walk
+        moved onto the entry from the latch; returns the steps and
+        instructions walked.  The latch keeps the decision that ends
+        the laps for itself."""
+        laps = self.latch_laps(budget // self.cycle_len)
+        if not laps:
             return 0, 0
-        cell[0] -= laps
         self.taken_hits[self.latch] += laps
         # An empty entry run (the latch is the entry) unfolds to nothing.
         self.run_hits[self.entry_pos] += laps

@@ -34,6 +34,9 @@ class Region(abc.ABC):
     #: (which routes through ``_abc_instancecheck`` on every region
     #: entry and transition).
     is_trace: bool = False
+    #: Bytes of the block copies, summed by each region kind as it lays
+    #: out its blocks' offsets.
+    instruction_bytes: int
 
     def __init__(self, entry: BasicBlock) -> None:
         self.entry = entry
@@ -79,10 +82,6 @@ class Region(abc.ABC):
         counted once per region.
         """
         return sum(block.instruction_count for block in self.block_list)
-
-    @property
-    def instruction_bytes(self) -> int:
-        return sum(block.byte_size for block in self.block_list)
 
     @property
     @abc.abstractmethod
@@ -139,6 +138,7 @@ class TraceRegion(Region):
             cursor += block.byte_size
         #: Byte offset of each path position inside the region's layout.
         self.position_offsets: Tuple[int, ...] = tuple(offsets)
+        self.instruction_bytes = cursor
 
     @property
     def block_list(self) -> Sequence[BasicBlock]:
@@ -250,6 +250,7 @@ class CFGRegion(Region):
             cursor += block.byte_size
         #: Byte offset of each block inside the region's layout.
         self.block_offsets: Dict[BasicBlock, int] = offsets
+        self.instruction_bytes = cursor
 
     @property
     def block_list(self) -> Sequence[BasicBlock]:

@@ -226,14 +226,25 @@ class ExecutionEngine:
 
                 return decide_bernoulli
             if model_type is LoopTrip:
-                # The remaining-count cell also rides on the decider as
-                # ``cell``: after a taken decision it holds ``r >= 1``,
-                # and the next ``r - 1`` decisions are taken with no
-                # draw, which lets the fused walk run a counted cycle's
-                # laps at once (``WalkTable.run_laps``).
+                # After a taken decision the remaining-count cell holds
+                # ``r >= 1``, and the next ``r - 1`` decisions are taken
+                # with no draw: ``laps(limit)`` takes up to ``limit`` of
+                # them at once, so the fused walk runs a counted cycle's
+                # laps in one bound (``WalkTable.run_laps``).
                 cell = [None]
                 trips = model.trips
                 jitter = model.jitter
+
+                def laps(limit, _cell=cell):
+                    remaining = _cell[0]
+                    if remaining is None:
+                        # The last decision fell through: the count
+                        # starts over on the next one.
+                        return 0
+                    taken = min(remaining - 1, limit)
+                    _cell[0] = remaining - taken
+                    return taken
+
                 if jitter == 0:
 
                     def decide_loop(step, _cell=cell, _trips=trips,
@@ -248,7 +259,7 @@ class ExecutionEngine:
                         _cell[0] = remaining
                         return _taken
 
-                    decide_loop.cell = cell
+                    decide_loop.laps = laps
                     return decide_loop
 
                 def decide_loop_jitter(step, _cell=cell,
@@ -267,7 +278,7 @@ class ExecutionEngine:
                     _cell[0] = remaining
                     return _taken
 
-                decide_loop_jitter.cell = cell
+                decide_loop_jitter.laps = laps
                 return decide_loop_jitter
             if model_type is Periodic:
 

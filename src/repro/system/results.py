@@ -76,7 +76,6 @@ class RunResult:
     peak_counters: int
     peak_observed_trace_bytes: int
     selector_diagnostics: Dict[str, int] = field(default_factory=dict)
-    stub_bytes: int = 10
     #: Timeline samples (empty unless the simulator sampled).
     samples: List[TimelineSample] = field(default_factory=list)
     #: The I-cache model the run fetched through, if any.
@@ -123,8 +122,9 @@ class RunResult:
 
     @property
     def cache_size_estimate(self) -> int:
-        """Section 4.3.4 estimate: instruction bytes + 10 B per stub."""
-        return estimate_cache_bytes(self.cache.regions, self.stub_bytes)
+        """Section 4.3.4 estimate: instruction bytes plus the config's
+        ``stub_bytes`` (10 B by default) per stub, as the cache charges."""
+        return estimate_cache_bytes(self.cache.regions, self.cache.stub_bytes)
 
     # -- cache management (nonzero only with a bounded cache) -----------
     @property

@@ -148,7 +148,9 @@ class Simulator:
         self.config = config if config is not None else SystemConfig()
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.cache = make_cache(
-            self.config.cache_capacity_bytes, self.config.cache_eviction_policy
+            self.config.cache_capacity_bytes,
+            self.config.cache_eviction_policy,
+            self.config.stub_bytes,
         )
         self.cache.observer = self.observer
         self.selector: RegionSelector = make_selector(
@@ -334,7 +336,6 @@ class Simulator:
             peak_counters=selector.peak_counters,
             peak_observed_trace_bytes=selector.peak_observed_trace_bytes,
             selector_diagnostics=diagnostics,
-            stub_bytes=self.config.stub_bytes,
             samples=samples,
             icache=icache,
             metrics=obs.metrics.snapshot() if obs.metrics is not None else {},
@@ -557,8 +558,8 @@ class Simulator:
         cache-walk step indexes parallel tuples instead of touching
         region or block attributes, chains of constant decisions are
         consumed in one bound (*static runs*), the laps of a cycle closed
-        by a counted ``LoopTrip`` latch are consumed in one bound per
-        activation (*counted cycles*), and a region exit whose
+        by a counted latch back to the entry are consumed in one bound
+        per activation (*counted cycles*), and a region exit whose
         statically-known target is another resident region's entry
         chains through the patched link slot without any residency
         lookup and without leaving the walk loop.  One walk loop serves
@@ -593,17 +594,20 @@ class Simulator:
           is disabled when per-step observers (step hooks, an icache
           model) are registered;
         * a counted cycle (``WalkTable.run_laps``) is walked in whole
-          laps only when batching is on, right after its latch was taken
-          onto the entry.  The latch's ``LoopTrip`` count is then
-          deterministic: it says how many more decisions are taken, and
-          a jittered count draws from the RNG only when its cell is
-          empty, which no batched lap reaches, so no draw is skipped or
-          moved.  The rest of the lap is the entry's static run.  The
-          laps move the steps, instructions, the latch's taken hits,
-          the entry's run hits, ``cycle_backs`` and the count by the same
-          multiple, and stop at the step budget.  A replay's latch
-          decides by direction bits and carries no count, so replays
-          never take it;
+          laps only when batching is on, right after the walk moved
+          from its latch onto the entry.  Between two latch decisions
+          only the entry's static run executes, which decides nothing,
+          so the latch's next decisions are its own, and its
+          ``laps(limit)`` takes as many further taken ones as it can
+          tell in advance.  A live ``LoopTrip`` latch reads them off
+          its remaining count: a jittered count draws from the RNG only
+          when its cell is empty, which no lap reaches, so no draw is
+          skipped or moved.  A replay's conditional latch reads them
+          off the run of 1-bits at the trace's bit cursor, never past
+          the last recorded conditional.  The laps move the steps,
+          instructions, the latch's taken hits, the entry's run hits
+          and ``cycle_backs`` by the same multiple, and stop at the
+          step budget;
         * a static exit whose link slot is patched switches tables
           inside the walk loop: the same exit and entry counts, exited
           instructions and region transition as the exit path, with the

@@ -23,9 +23,9 @@ from repro.program.program import Program
 from repro.tracing.records import COUNTS, TARGET_BYTES, TraceHeader
 
 #: The eight direction bits of every byte value, least significant
-#: first.
+#: first, one byte each.
 _BYTE_BITS = tuple(
-    tuple(bool(value >> bit & 1) for bit in range(8)) for value in range(256)
+    bytes(value >> bit & 1 for bit in range(8)) for value in range(256)
 )
 
 
@@ -46,8 +46,16 @@ class TraceSource(ExecutionEngine):
     the live engine's own constant tuple or call-stack closure.  So
     :meth:`Simulator.run_program
     <repro.system.simulator.Simulator.run_program>` runs a replay with
-    its loop unchanged, static runs included, and :meth:`run_into`
-    pushes the recorded stream into any consumer.
+    its loop unchanged, static runs and counted laps included, and
+    :meth:`run_into` pushes the recorded stream into any consumer.
+
+    The direction bits are unpacked once, one byte per bit, and read
+    through one iterator over them.  Every conditional decider exposes
+    the lap protocol of :class:`~repro.cache.dispatch.WalkTable`:
+    ``laps(limit)`` skips the run of 1-bits at the bit cursor, up to
+    ``limit`` of them and never past the last recorded conditional, and
+    returns its length.  In a counted cycle only the latch reads bits,
+    so those are its next taken decisions.
 
     ``max_steps`` is the recorded step count.  After a run,
     :meth:`finish` checks that the walk lasted exactly that long and
@@ -107,12 +115,30 @@ class TraceSource(ExecutionEngine):
         # already enforced its own bound.
         super().__init__(program, seed=header.seed, max_steps=steps,
                          max_call_depth=max(1, steps))
-        self._bit_stream = chain.from_iterable(
-            map(_BYTE_BITS.__getitem__, bits))
-        self._bit_count = 8 * len(bits)
+        # One byte per direction bit, padding included, read through
+        # one iterator: its position is the bit cursor.
+        unpacked = b"".join(map(_BYTE_BITS.__getitem__, bits))
+        self._bit_stream = bit_stream = iter(unpacked)
+        self._bit_count = total = len(unpacked)
         self._conditionals = conditionals
         self._next_bit = chain(
-            self._bit_stream, _ran_out("direction bits")).__next__
+            bit_stream, _ran_out("direction bits")).__next__
+
+        def laps(limit, _find=unpacked.find, _skip=bit_stream.__setstate__,
+                 _left=bit_stream.__length_hint__):
+            # The run of 1-bits at the cursor, never past the last
+            # recorded conditional: that many taken decisions.
+            cursor = total - _left()
+            stop = min(cursor + limit, conditionals)
+            if stop <= cursor:
+                return 0
+            end = _find(0, cursor, stop)
+            if end < 0:
+                end = stop
+            _skip(end)
+            return end - cursor
+
+        self._laps = laps
         self._target_stream = iter(target_ids)
         self._targets = len(target_ids)
         self._next_target = chain(
@@ -128,6 +154,7 @@ class TraceSource(ExecutionEngine):
                                 _fall=(False, block.fallthrough)):
                 return _taken if _bit() else _fall
 
+            decide_recorded.laps = self._laps
             return decide_recorded
         if kind is BranchKind.INDIRECT:
             results: Dict[int, tuple] = {
@@ -176,7 +203,7 @@ class TraceSource(ExecutionEngine):
                 f"the trace records {self.max_steps} steps but the program "
                 f"ended after {steps}"
             )
-        used_bits = self._bit_count - sum(1 for _ in self._bit_stream)
+        used_bits = self._bit_count - self._bit_stream.__length_hint__()
         used_targets = self._targets - sum(1 for _ in self._target_stream)
         if used_bits != self._conditionals or used_targets != self._targets:
             raise TraceFormatError(

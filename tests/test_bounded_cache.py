@@ -18,6 +18,8 @@ from repro.errors import CacheError, ConfigError
 from repro.system.simulator import simulate
 from repro.workloads import build_benchmark
 
+from .identity import fingerprint
+
 
 def B(program, label):
     return program.block_by_full_label(label)
@@ -142,6 +144,39 @@ class TestBoundedSimulation:
         loose = self._run("net", 1200)
         tight = self._run("net", 250)
         assert tight.cache_evictions >= loose.cache_evictions
+
+    @pytest.mark.parametrize("policy", ["fifo", "flush"])
+    def test_the_configured_stub_size_is_charged(self, policy, monkeypatch):
+        """With 40 bytes per stub, the residents' footprint at 40 bytes
+        per stub never exceeds the capacity, and it is what the cache
+        counts, lays out and estimates."""
+        program = build_benchmark("gzip", scale=0.05)
+        config = SystemConfig(cache_capacity_bytes=600,
+                              cache_eviction_policy=policy, stub_bytes=40)
+        footprints = []
+        insert = BoundedCodeCache.insert
+
+        def checked(cache, region):
+            installed = insert(cache, region)
+            footprint = sum(r.instruction_bytes + 40 * r.exit_stub_count
+                            for r in cache.resident_regions)
+            assert footprint == cache.resident_bytes
+            footprints.append(footprint)
+            return installed
+
+        monkeypatch.setattr(BoundedCodeCache, "insert", checked)
+        result = simulate(program, "net", config, seed=1)
+        assert result.cache_evictions > 0
+        assert footprints and max(footprints) <= 600
+        regions = result.regions
+        for region, after in zip(regions, regions[1:]):
+            assert after.cache_address == (
+                region.cache_address + region.instruction_bytes
+                + 40 * region.exit_stub_count)
+        assert result.cache_size_estimate == sum(
+            result.cache.region_bytes(region) for region in regions)
+        assert fingerprint(result) == fingerprint(
+            simulate(program, "net", config, seed=1, fast=False))
 
     def test_hit_rate_degrades_gracefully_under_pressure(self, capacity):
         bounded = self._run("net", capacity)

@@ -67,6 +67,23 @@ class TestBoundedCacheProperties:
             addresses = [r.cache_address for r in cache.regions]
             assert addresses == sorted(addresses)
             assert len(set(addresses)) == len(addresses)
+            # The running byte count is a recount of the residents, and
+            # they come in selection order.
+            resident = cache.resident_regions
+            assert cache.resident_bytes == sum(
+                r.instruction_bytes + STUB_BYTES * r.exit_stub_count
+                for r in resident)
+            resident_orders = [r.selection_order for r in resident]
+            assert resident_orders == sorted(resident_orders)
+            if policy == "fifo":
+                # The residents are the newest selections, and the
+                # newest evicted one would not fit beside them.
+                count = len(resident)
+                assert resident == cache.regions[-count:]
+                if count < inserted:
+                    last_evicted = cache.regions[-count - 1]
+                    assert (cache.resident_bytes
+                            + cache.region_bytes(last_evicted) > capacity)
 
     @COMMON
     @given(

@@ -11,8 +11,8 @@ static runs that a step budget cuts, static cycles that avoid the
 entry, dynamic transfers that stay only along observed edges, and
 evicted regions whose walked edges must still reach the profile.  So
 are the walk's two shortcuts: the laps of a cycle closed by a counted
-``LoopTrip`` latch, walked at once, and linked exits taken inside the
-walk, into regions a bounded cache later evicts too.
+latch, walked at once on live runs and replays alike, and linked exits
+taken inside the walk, into regions a bounded cache later evicts too.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.behavior.models import LoopTrip, RoundRobinIndirect
+from repro.behavior.models import Bernoulli, LoopTrip, RoundRobinIndirect
 from repro.cache.codecache import BoundedCodeCache, CodeCache
 from repro.cache.dispatch import DYNAMIC, DispatchTable, WalkTable
 from repro.cache.region import CFGRegion, TraceRegion
@@ -35,7 +35,12 @@ from repro.program.builder import ProgramBuilder
 from repro.selection.base import RegionSelector
 from repro.selection.registry import SELECTOR_FACTORIES
 from repro.system.simulator import Simulator, simulate
-from repro.tracing import collect_trace, replay_trace_into
+from repro.tracing import (
+    TraceSource,
+    collect_trace,
+    replay_trace,
+    replay_trace_into,
+)
 from repro.workloads import build_benchmark
 from repro.workloads.micro import build_micro
 
@@ -135,17 +140,19 @@ def _observed_edges_regions(program):
     return [cfg, TraceRegion([block("main:T3"), block("main:L")])]
 
 
-def _counted_loop_program(body=0, trips=40, jitter=0, outer=5):
+def _counted_loop_program(body=0, trips=40, jitter=0, outer=5, latch=None):
     """An outer loop at O around a counted loop at E.  With ``body``
     0, E is a one-block self-loop latch; otherwise E falls into
     ``body`` blocks that jump one to the next and reach the latch L.
-    The latch's LoopTrip goes back to E, then falls into T, whose own
-    latch goes back to O ``outer`` times."""
+    The latch's LoopTrip (or the ``latch`` model given) goes back to
+    E, then falls into T, whose own latch goes back to O ``outer``
+    times."""
     pb = ProgramBuilder("counted_loop", entry="main")
     main = pb.procedure("main")
     main.block("S", insts=1)
     main.block("O", insts=1)
-    latch = LoopTrip(trips, jitter)
+    if latch is None:
+        latch = LoopTrip(trips, jitter)
     if body:
         main.block("E", insts=2)
         for i in range(body):
@@ -445,26 +452,26 @@ class TestFusedWalkAgrees:
                        for region in evicted)
 
 
-def _counting_latch_calls(monkeypatch):
-    """Wrap every decider that carries a LoopTrip count so that its
-    calls are counted; the wrapper carries the same count."""
+def _counting_latch_calls(monkeypatch, engine=ExecutionEngine):
+    """Wrap every decider of ``engine`` that takes laps so that its
+    calls are counted; the wrapper takes the same laps."""
     calls = []
-    make = ExecutionEngine._decider_for
+    make = engine._decider_for
 
     def spy(self, block, stack, ctx):
         decide = make(self, block, stack, ctx)
-        cell = getattr(decide, "cell", None)
-        if cell is None:
+        laps = getattr(decide, "laps", None)
+        if laps is None:
             return decide
 
         def counted(step):
             calls.append(block.label)
             return decide(step)
 
-        counted.cell = cell
+        counted.laps = laps
         return counted
 
-    monkeypatch.setattr(ExecutionEngine, "_decider_for", spy)
+    monkeypatch.setattr(engine, "_decider_for", spy)
     return calls
 
 
@@ -483,8 +490,10 @@ def lap_budgets(monkeypatch):
 
 
 class TestCountedCycles:
-    """A cycle whose only varying block is a LoopTrip latch back to the
-    entry is walked in whole laps, on traces and CFG regions alike."""
+    """A cycle whose only varying block is a latch back to the entry
+    that takes laps is walked in whole laps, on traces and CFG regions
+    alike: a LoopTrip latch on live runs, any conditional latch on
+    replays."""
 
     SHAPES = {
         "self-loop": dict(body=0),
@@ -501,8 +510,8 @@ class TestCountedCycles:
         pos = {block.label: i for i, block in enumerate(table.blocks)}
         latch = pos["L" if body else "E"]
         assert table.entry_pos == pos["E"]
-        assert (table.latch, table.latch_cell) == (
-            latch, table.deciders[latch].cell)
+        assert (table.latch, table.latch_laps) == (
+            latch, table.deciders[latch].laps)
         # The lap is E, the body and the latch.
         assert table.cycle_len == (body + 2 if body else 1)
         assert table.cycle_insts == (2 + sum(range(1, body + 1)) + 1
@@ -549,9 +558,12 @@ class TestCountedCycles:
         run_laps, advance = WalkTable.run_laps, WalkTable.advance
 
         def laps_spy(self, budget):
-            if budget // self.cycle_len < self.latch_cell[0] - 1:
+            steps, insts = run_laps(self, budget)
+            if budget - steps < self.cycle_len:
+                # No whole lap is left: the budget ends inside the
+                # next one.
                 cuts.add("laps")
-            return run_laps(self, budget)
+            return steps, insts
 
         def advance_spy(self, pos, span, hits=1):
             if pos == self.entry_pos and span < self.run_len[pos]:
@@ -566,6 +578,31 @@ class TestCountedCycles:
             _agree(program, selector, max_steps=max_steps)
         assert cuts == {"laps", "entry run"}
 
+    def test_a_latch_that_falls_onto_the_entry(self, fixed_regions,
+                                               lap_budgets):
+        """L's taken and fall-through targets are both the entry E: after
+        the fall the count starts over, so the walk lands on the entry
+        from the latch with nothing to lap."""
+        pb = ProgramBuilder("fall_onto_entry", entry="main")
+        main = pb.procedure("main")
+        main.block("S", insts=1).jump("E")
+        main.block("L", insts=1).cond("E", model=LoopTrip(7))
+        main.block("E", insts=2).jump("A")
+        main.block("A", insts=1).jump("L")
+        program = pb.build()
+
+        def regions(program):
+            block = program.block_by_full_label
+            loop = [block("main:E"), block("main:A"), block("main:L")]
+            return [CFGRegion(loop[0], loop, [])]
+
+        selector = fixed_regions(regions)
+        for max_steps in range(60, 64):
+            result = _agree(program, selector, max_steps=max_steps)
+        (region,) = result.regions
+        assert region.exit_count == 0 and region.cycle_backs == 20
+        assert lap_budgets
+
     def test_observed_steps_turn_laps_off(self, fixed_regions, lap_budgets):
         program = _counted_loop_program(body=3)
         selector = fixed_regions(_counted_loop_regions("trace"))
@@ -574,17 +611,46 @@ class TestCountedCycles:
         _agree(program, selector)
         assert lap_budgets
 
-    def test_replays_never_count(self, fixed_regions, lap_budgets, tmp_path):
+    @pytest.mark.parametrize("kind", ("trace", "cfg"))
+    def test_replays_lap(self, fixed_regions, lap_budgets, monkeypatch,
+                         kind, tmp_path):
         program = _counted_loop_program(body=3, jitter=9)
-        selector = fixed_regions(_counted_loop_regions("trace"))
+        selector = fixed_regions(_counted_loop_regions(kind))
         path = tmp_path / "counted.rtrc"
         collect_trace(ExecutionEngine(program, seed=4), path)
+        calls = _counting_latch_calls(monkeypatch, TraceSource)
         replay = Simulator(program, selector).run_push(
             lambda consume: replay_trace_into(path, program, consume))
-        assert not lap_budgets
+        assert lap_budgets
+        fused_calls = calls.count("L")
+        del calls[:]
+        reference = Simulator(program, selector).run(
+            replay_trace(path, program))
+        assert fingerprint(replay) == fingerprint(reference)
         assert fingerprint(replay) == fingerprint(
             _agree(program, selector, seed=4))
+        (region,) = replay.regions
+        assert region.cycle_backs > 100
+        assert calls.count("L") > 8 * fused_calls
+
+    @pytest.mark.parametrize("kind", ("trace", "cfg"))
+    def test_a_bernoulli_latch_laps_only_on_replays(
+            self, fixed_regions, lap_budgets, kind, tmp_path):
+        program = _counted_loop_program(body=3, latch=Bernoulli(0.98))
+        selector = fixed_regions(_counted_loop_regions(kind))
+        live = _agree(program, selector, seed=5)
+        assert not lap_budgets
+        path = tmp_path / "bernoulli.rtrc"
+        collect_trace(ExecutionEngine(program, seed=5), path)
+        replay = Simulator(program, selector).run_push(
+            lambda consume: replay_trace_into(path, program, consume))
         assert lap_budgets
+        reference = Simulator(program, selector).run(
+            replay_trace(path, program))
+        assert fingerprint(replay) == fingerprint(reference)
+        assert fingerprint(replay) == fingerprint(live)
+        (region,) = replay.regions
+        assert region.cycle_backs > 100
 
 
 class TestLinksInsideTheWalk:

@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.behavior.models import Bernoulli
+from repro.cache.dispatch import WalkTable
 from repro.cache.icache import InstructionCache
 from repro.config import SystemConfig
 from repro.errors import TraceFormatError
@@ -194,11 +195,18 @@ OBSERVED_CELLS = [
 ]
 
 
+#: The FIFO half of the observed cells: one selector per SPEC stand-in.
+OBSERVED_REPLAYS = [(bench, selector)
+                    for bench, selector, capacity in OBSERVED_CELLS
+                    if capacity]
+
+
 class TestObservedStepsIdentity:
     """With an icache model and a timeline sampler the fused loop walks
     step by step, with no static runs or counted laps, but it still
     links regions inside its walk.  Icache accesses and misses and
-    every timeline sample must match the reference's."""
+    every timeline sample must match the reference's, on live runs and
+    on replays."""
 
     @pytest.mark.parametrize(
         "bench,selector,capacity", OBSERVED_CELLS,
@@ -215,6 +223,43 @@ class TestObservedStepsIdentity:
         fused, ref = run(True), run(False)
         assert fingerprint(fused) == fingerprint(ref)
         assert fused.icache.accesses and fused.samples
+
+    @pytest.mark.parametrize("bench,selector", OBSERVED_REPLAYS,
+                             ids=[f"{b}-{s}" for b, s in OBSERVED_REPLAYS])
+    def test_replays_observed_step_by_step(self, bench, selector, tmp_path,
+                                           monkeypatch):
+        program = build_benchmark(bench, scale=SCALE)
+        config = SystemConfig(cache_capacity_bytes=300,
+                              cache_eviction_policy="fifo")
+        path = tmp_path / "trace.rtrc"
+        collect_trace(ExecutionEngine(program, seed=3), path)
+
+        def simulator():
+            return Simulator(program, selector, config,
+                             icache=InstructionCache(1024), sample_every=97)
+
+        # Laps, and static runs, which leave run hits for ``advance`` to
+        # fold or are cut by it, are off under per-step observers.
+        batched = []
+
+        def spy(name):
+            original = getattr(WalkTable, name)
+
+            def spied(table, *args):
+                batched.append(name)
+                return original(table, *args)
+
+            monkeypatch.setattr(WalkTable, name, spied)
+
+        spy("run_laps")
+        spy("advance")
+        fused = simulator().run_push(
+            lambda consume: replay_trace_into(path, program, consume))
+        assert batched == []
+        ref = simulator().run(replay_trace(path, program))
+        assert fingerprint(fused) == fingerprint(ref)
+        assert fused.icache.accesses and fused.samples
+        assert fused.cache_evictions > 0
 
 
 class TestLinkingIdentity:

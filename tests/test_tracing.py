@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.cache.dispatch import WalkTable
 from repro.cli import main
 from repro.errors import ExecutionError, TraceFormatError
 from repro.execution.engine import ExecutionEngine
@@ -16,9 +17,11 @@ from repro.tracing.collector import (
     replay_trace_into,
     trace_header,
 )
-from repro.tracing.encoder import TraceWriter
+from repro.tracing.encoder import TraceWriter, pack_bits
 from repro.tracing.records import COUNTS, TraceHeader
 from repro.workloads import build_benchmark
+
+from .test_dispatch import _counted_loop_program
 
 #: perlbmk has an indirect dispatch, so its traces record targets.
 BENCH, SCALE, SEED = "perlbmk", 0.05, 3
@@ -186,6 +189,74 @@ class TestVersion2Faults:
             return self.assemble((header, (steps, conditionals, steps),
                                   bits, targets))
         raise AssertionError(fault)
+
+    @pytest.fixture(scope="class")
+    def counted(self, tmp_path_factory):
+        """The counted program and its trace: (program, header bytes,
+        counts, direction bits one per byte)."""
+        # NET's trace over the inner loop takes laps on every replay.
+        program = _counted_loop_program(body=1, trips=60, jitter=7, outer=30)
+        path = tmp_path_factory.mktemp("v2") / "counted.rtrc"
+        collect_trace(ExecutionEngine(program, seed=2), path)
+        data = path.read_bytes()
+        head = len(TraceHeader(program.name, program.block_count,
+                               2).encode())
+        counts = COUNTS.unpack_from(data, head)
+        body = data[head + COUNTS.size:]
+        bits = bytearray(body[i // 8] >> i % 8 & 1
+                         for i in range(counts[1]))
+        return program, data[:head], counts, bits
+
+    #: Faults a lap meets: the replay runs past the recorded bits in the
+    #: middle of a run of 1-bits at NET's counted latch.
+    LAP_MESSAGES = {
+        # Repacked short, zero-padded: the latch falls early.
+        "cut": "steps but the program ended after",
+        # The same, with the bits past the count set to 1.
+        "padding-set": "the trace has no more direction bits",
+        # Cut at a byte boundary: the run of 1-bits reaches the end of
+        # the stream.
+        "ones-to-end": "the trace has no more direction bits",
+    }
+
+    def lap_faulty(self, counted, fault) -> bytes:
+        _, header, (steps, conditionals, indirects), bits = counted
+        # A cut four bits into a byte, inside a run of at least eight
+        # 1-bits on each side.
+        cut = next(i for i in range(conditionals // 2, conditionals)
+                   if i % 8 == 4 and all(bits[i - 12:i + 9]))
+        if fault == "ones-to-end":
+            cut -= 4
+        packed = bytearray(pack_bits(bits[:cut]))
+        if fault == "padding-set":
+            packed[-1] |= 0xff << cut % 8 & 0xff
+        return self.assemble((header, (steps, cut, indirects),
+                              bytes(packed), b""))
+
+    @pytest.mark.parametrize("fault", sorted(LAP_MESSAGES))
+    def test_laps_stop_at_the_recorded_bits(self, counted, fault, tmp_path,
+                                            monkeypatch):
+        program = counted[0]
+        path = tmp_path / "fault.rtrc"
+        path.write_bytes(self.lap_faulty(counted, fault))
+        message = self.LAP_MESSAGES[fault]
+        lapped = []
+        run_laps = WalkTable.run_laps
+
+        def spy(table, budget):
+            span = run_laps(table, budget)
+            lapped.append(span[0])
+            return span
+
+        monkeypatch.setattr(WalkTable, "run_laps", spy)
+        with pytest.raises(TraceFormatError, match=message):
+            Simulator(program, "net").run_push(
+                lambda consume: replay_trace_into(path, program, consume))
+        assert sum(lapped) > 1000
+        with pytest.raises(TraceFormatError, match=message):
+            replay_trace_into(path, program, lambda *step: None)
+        with pytest.raises(TraceFormatError, match=message):
+            Simulator(program, "net").run(replay_trace(path, program))
 
     MESSAGES = {
         "truncated": "truncated trace body",
