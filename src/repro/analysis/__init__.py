@@ -1,8 +1,8 @@
 """Post-run analysis tools.
 
-* :mod:`~repro.analysis.timeline` — warm-up curves and windowed rates
-  from the simulator's timeline samples (how fast a selector goes hot,
-  and what program phases do to locality);
+* :mod:`~repro.analysis.timeline` — warm-up curves, windowed rates and
+  phase shifts from the simulator's timeline samples (how fast a
+  selector goes hot, and what program phases do to locality);
 * :mod:`~repro.analysis.compare` — side-by-side comparison of two runs
   (the paper's "X relative to Y" figures, generalized);
 * :mod:`~repro.analysis.inventory` — human-readable region inventories
@@ -19,9 +19,11 @@ from repro.analysis.layout import (
     transition_distances,
 )
 from repro.analysis.timeline import (
+    SignalShift,
     WindowRate,
     coldest_window,
     first_hot_window,
+    phase_shifts,
     warmup_step,
     window_rates,
 )
@@ -41,6 +43,8 @@ __all__ = [
     "warmup_step",
     "first_hot_window",
     "coldest_window",
+    "SignalShift",
+    "phase_shifts",
     "RunComparison",
     "compare_runs",
     "region_inventory",

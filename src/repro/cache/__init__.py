@@ -17,7 +17,7 @@ which the simulator models by checking the cache at every region exit.
 
 from repro.cache.region import CFGRegion, Region, TraceRegion
 from repro.cache.codecache import BoundedCodeCache, CodeCache, make_cache
-from repro.cache.sizing import STUB_BYTES, estimate_cache_bytes
+from repro.cache.sizing import STUB_BYTES
 
 __all__ = [
     "Region",
@@ -27,5 +27,4 @@ __all__ = [
     "BoundedCodeCache",
     "make_cache",
     "STUB_BYTES",
-    "estimate_cache_bytes",
 ]

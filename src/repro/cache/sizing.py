@@ -1,26 +1,15 @@
-"""Cache size estimation, exactly as Section 4.3.4 specifies.
+"""The default exit-stub size of Section 4.3.4's cache size estimate.
 
 "To estimate its size, we compute the total number of instruction bytes
 inserted in the code cache and conservatively add 10 bytes for each
-exit stub."  Optimization effects on region size and inter-region link
-memory are ignored, as in the paper.
+exit stub."  The cache charges that footprint per region
+(:meth:`CodeCache.region_bytes <repro.cache.codecache.CodeCache.region_bytes>`)
+with its config's ``stub_bytes``, which defaults to this value.
+Optimization effects on region size and inter-region link memory are
+ignored, as in the paper.
 """
-
-from __future__ import annotations
-
-from typing import Iterable
-
-from repro.cache.region import Region
 
 #: Conservative per-stub size: at least three instructions at 3-4 bytes
 #: each would exceed this, so 10 bytes understates stub cost — the same
 #: conservative direction the paper chooses.
 STUB_BYTES = 10
-
-
-def estimate_cache_bytes(regions: Iterable[Region], stub_bytes: int = STUB_BYTES) -> int:
-    """Estimated code cache footprint in bytes."""
-    total = 0
-    for region in regions:
-        total += region.instruction_bytes + stub_bytes * region.exit_stub_count
-    return total

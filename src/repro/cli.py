@@ -446,12 +446,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
-    from repro.analysis.timeline import warmup_step, window_rates
+    from repro.analysis.timeline import (
+        phase_shifts,
+        warmup_step,
+        window_rates,
+    )
 
     program = build_benchmark(args.benchmark, scale=args.scale)
-    result = simulate(program, args.selector, _config_from(args),
-                      seed=args.seed, sample_every=args.window,
-                      fast=not args.reference)
+    try:
+        result = simulate(program, args.selector, _config_from(args),
+                          seed=args.seed, sample_every=args.window,
+                          fast=not args.reference)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.benchmark} / {args.selector}: windowed hit rates "
           f"(window = {args.window} steps)")
     print(f"{'steps':>18s} {'hit%':>7s} {'insts':>9s} {'new regions':>12s} "
@@ -463,6 +471,10 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     warm = warmup_step(result.samples)
     print(f"warm (>=90% for the rest of the run) from step: "
           f"{warm if warm is not None else 'never'}")
+    shifts = phase_shifts(result.samples)
+    print(f"phase shifts: {len(shifts)}")
+    for shift in shifts:
+        print(f"  step {shift.step:<9d} {shift.signal:<10s} {shift.move}")
     return 0
 
 

@@ -12,15 +12,14 @@ Three pillars, one handle:
 * :mod:`repro.obs.profile` — a monotonic-clock span timer with nested
   scopes for per-phase wall time and step throughput.
 
-On top of the pillars sit two aggregation layers:
-
-* :mod:`repro.obs.telemetry` — cross-process shipping: workers bundle
-  their registry/profile/event tail into a
-  :class:`~repro.obs.telemetry.TelemetryReport` and the parent merges
-  every report into one :class:`~repro.obs.telemetry.FleetTelemetry`;
-* :mod:`repro.obs.signals` — a rolling-window per-step aggregator
-  computing online phase signals (hit rate, region churn, eviction
-  pressure) and emitting ``phase_shift`` events on sharp deltas.
+On top of the pillars sits one aggregation layer,
+:mod:`repro.obs.telemetry`, for cross-process shipping: workers bundle
+their registry/profile/event tail into a
+:class:`~repro.obs.telemetry.TelemetryReport` and the parent merges
+every report into one :class:`~repro.obs.telemetry.FleetTelemetry`.
+Windowed phase signals are read off a sampled run's timeline
+(:func:`repro.analysis.timeline.phase_shifts`); a sampled run with an
+event sink emits them as ``phase_shift`` events.
 
 :class:`~repro.obs.observer.Observer` bundles the three;
 :data:`~repro.obs.observer.NULL_OBSERVER` is the shared disabled
@@ -41,7 +40,6 @@ from repro.obs.inspect import InspectSummary, format_summary, summarize_events
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.profile import SpanTimer
-from repro.obs.signals import SignalConfig, SignalTracker, SignalWindow
 from repro.obs.sink import (
     CollectingSink,
     EventSink,
@@ -81,9 +79,6 @@ __all__ = [
     "JsonlSink",
     "RingBufferSink",
     "TeeSink",
-    "SignalConfig",
-    "SignalTracker",
-    "SignalWindow",
     "FleetTelemetry",
     "TelemetryReport",
     "WorkerTelemetry",

@@ -77,7 +77,7 @@ EVENT_KINDS: Dict[str, EventKind] = {
     "history_cleared": EventKind(
         "history", "debug",
         "LEI truncated its branch history buffer after a selection."),
-    # -- windowed phase signals (repro.obs.signals) ----------------------
+    # -- windowed phase signals (repro.analysis.timeline) ----------------
     "phase_shift": EventKind(
         "signal", "info",
         "A windowed signal moved sharply window-over-window (hit rate, "

@@ -13,16 +13,16 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from repro.cache.codecache import CodeCache
 from repro.cache.region import Region
-from repro.cache.sizing import estimate_cache_bytes
 from repro.program.cfg import BasicBlock
 
 
 class TimelineSample(NamedTuple):
     """A point on the run's timeline (cumulative values at ``step``).
 
-    Recorded by the simulator when ``sample_every`` is set; the
-    analysis helpers in :mod:`repro.analysis.timeline` turn consecutive
-    samples into windowed rates (warm-up curves, phase effects).
+    Recorded by the simulator when ``sample_every`` is set, before the
+    sampled step's own effects; the analysis helpers in
+    :mod:`repro.analysis.timeline` turn consecutive samples into
+    windowed rates (warm-up curves, phase shifts).
     """
 
     step: int
@@ -30,6 +30,8 @@ class TimelineSample(NamedTuple):
     cache_instructions: int
     regions_selected: int
     region_transitions: int
+    #: Evictions plus full flushes (zero in an unbounded cache).
+    evictions: int = 0
 
     @property
     def total_instructions(self) -> int:
@@ -122,9 +124,11 @@ class RunResult:
 
     @property
     def cache_size_estimate(self) -> int:
-        """Section 4.3.4 estimate: instruction bytes plus the config's
-        ``stub_bytes`` (10 B by default) per stub, as the cache charges."""
-        return estimate_cache_bytes(self.cache.regions, self.cache.stub_bytes)
+        """Section 4.3.4 estimate: every selected region's footprint as
+        the cache charges it, instruction bytes plus the config's
+        ``stub_bytes`` (10 B by default) per stub."""
+        cache = self.cache
+        return sum(cache.region_bytes(region) for region in cache.regions)
 
     # -- cache management (nonzero only with a bounded cache) -----------
     @property

@@ -45,89 +45,30 @@ work as an uninstrumented simulator; the guard test in
 ``tests/test_obs_guard.py`` holds both properties (identical results,
 negligible disabled-mode overhead).
 
-Per-step consumers (timeline sampling, custom probes) register through
-one hook point — :meth:`Simulator.add_step_hook` — so nothing keeps a
-private step counter that could drift from the simulator's own.
+Timeline sampling (``sample_every``) is the one windowed observer.
+Both loops take a :class:`~repro.system.results.TimelineSample` on
+each boundary step, straight from their own counters, and phase shifts
+are read off the samples (:func:`repro.analysis.timeline.phase_shifts`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.codecache import make_cache
 from repro.cache.dispatch import DYNAMIC, DispatchTable, WalkTable
 from repro.cache.icache import InstructionCache
 from repro.cache.region import Region
-from repro.errors import ReproError, SelectionError
+from repro.errors import ConfigError, ReproError, SelectionError
 from repro.execution.engine import ExecutionEngine
 from repro.execution.events import Step
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.obs.signals import SignalConfig, SignalTracker
 from repro.program.cfg import BasicBlock
 from repro.program.program import Program
 from repro.selection.base import RegionSelector, fast_hooks
 from repro.selection.registry import make_selector
 from repro.config import SystemConfig
 from repro.system.results import RunResult, RunStats, TimelineSample
-
-
-class StepHook(Protocol):
-    """A per-step observer registered via :meth:`Simulator.add_step_hook`.
-
-    ``on_step`` runs once per consumed step with the simulator's own
-    1-based step index (the single source of truth — hooks must not
-    count steps themselves); ``on_finish`` runs once after the stream
-    ends with the final index.
-    """
-
-    def on_step(self, step_index: int) -> None: ...
-
-    def on_finish(self, step_index: int) -> None: ...
-
-
-class _TimelineSampler:
-    """The ``sample_every`` timeline sampler, as a step hook.
-
-    Keeping it behind the shared hook point means its notion of "step"
-    is exactly the simulator's: samplers and any other registered
-    observers can never drift out of sync.
-    """
-
-    def __init__(
-        self,
-        interval: int,
-        stats: RunStats,
-        cache,
-        samples: List[TimelineSample],
-    ) -> None:
-        self.interval = interval
-        self.stats = stats
-        self.cache = cache
-        self.samples = samples
-
-    def _record(self, step_index: int) -> None:
-        self.samples.append(TimelineSample(
-            step=step_index,
-            interp_instructions=self.stats.interp_instructions,
-            cache_instructions=self.stats.cache_instructions,
-            regions_selected=len(self.cache.regions),
-            region_transitions=self.stats.region_transitions,
-        ))
-
-    def on_step(self, step_index: int) -> None:
-        if step_index % self.interval == 0:
-            self._record(step_index)
-
-    def on_finish(self, step_index: int) -> None:
-        # Close the timeline with a final sample so the last sample
-        # always covers the full run — unless the stream ended exactly
-        # on a sampling boundary, where ``on_step`` already recorded
-        # this index and appending again would duplicate the sample
-        # (two samples with the same ``step`` produce a zero-width
-        # window downstream).
-        if self.samples and self.samples[-1].step == step_index:
-            return
-        self._record(step_index)
 
 
 class Simulator:
@@ -141,8 +82,10 @@ class Simulator:
         sample_every: Optional[int] = None,
         icache: Optional[InstructionCache] = None,
         observer: Optional[Observer] = None,
-        signals: Optional[SignalConfig] = None,
     ) -> None:
+        if sample_every is not None and sample_every < 1:
+            raise ConfigError(
+                f"sample_every must be >= 1 step, got {sample_every}")
         self.program = program
         self.selector_name = selector_name
         self.config = config if config is not None else SystemConfig()
@@ -157,20 +100,12 @@ class Simulator:
             selector_name, self.cache, self.config, program
         )
         self.selector.obs = self.observer
-        #: When set, a TimelineSample is recorded every N steps.
+        #: When set, a TimelineSample is recorded every N steps, plus a
+        #: closing one at the end of the run.
         self.sample_every = sample_every
         #: Optional instruction-cache model over the code-cache layout;
         #: fetches of cached instructions are simulated through it.
         self.icache = icache
-        #: When set, a windowed :class:`~repro.obs.signals.SignalTracker`
-        #: runs as a step hook; after a run it is available here.
-        self.signals = signals
-        self.signal_tracker: Optional[SignalTracker] = None
-        self._step_hooks: List[StepHook] = []
-
-    def add_step_hook(self, hook: StepHook) -> None:
-        """Register a per-step observer (see :class:`StepHook`)."""
-        self._step_hooks.append(hook)
 
     def run(self, steps: Iterable[Step]) -> RunResult:
         """Consume a step stream and return the measured result.
@@ -207,8 +142,8 @@ class Simulator:
         :meth:`run_program` either way.
         """
         return self._execute(
-            lambda stats, edge_profile, step_hooks, events_on, prof:
-            self._run_loop(producer, stats, edge_profile, step_hooks,
+            lambda stats, edge_profile, samples, events_on, prof:
+            self._run_loop(producer, stats, edge_profile, samples,
                            events_on, prof)
         )
 
@@ -227,8 +162,8 @@ class Simulator:
         else:
             self._check_engine(engine)
         return self._execute(
-            lambda stats, edge_profile, step_hooks, events_on, prof:
-            self._run_fused(engine, stats, edge_profile, step_hooks,
+            lambda stats, edge_profile, samples, events_on, prof:
+            self._run_fused(engine, stats, edge_profile, samples,
                             events_on, prof)
         )
 
@@ -256,21 +191,6 @@ class Simulator:
         prof = obs.profiler
         step_index = 0
 
-        # The single per-step hook point: the timeline sampler, the
-        # windowed signal tracker and any externally registered hooks
-        # all tick off the same step index.
-        tracker = (
-            SignalTracker(self.signals, stats, cache, observer=obs)
-            if self.signals is not None else None
-        )
-        self.signal_tracker = tracker
-        step_hooks: Tuple[StepHook, ...] = tuple(
-            ([_TimelineSampler(self.sample_every, stats, cache, samples)]
-             if self.sample_every is not None else [])
-            + ([tracker] if tracker is not None else [])
-            + self._step_hooks
-        )
-
         if events_on:
             obs.emit("run_started", 0, config_cache_capacity=(
                 self.config.cache_capacity_bytes))
@@ -279,9 +199,7 @@ class Simulator:
             # the fused core must not enter it twice.
             if prof is not None:
                 prof.enter("interpret")
-            step_index = loop(
-                stats, edge_profile, step_hooks, events_on, prof
-            )
+            step_index = loop(stats, edge_profile, samples, events_on, prof)
             selector.finish()
         except ReproError as exc:
             # cache.now is the loop's step index (advanced every step),
@@ -310,8 +228,14 @@ class Simulator:
                 prof.steps = failed_at
                 prof.stop()
             raise
-        for hook in step_hooks:
-            hook.on_finish(step_index)
+        sampled = self.sample_every is not None
+        # Close the timeline with a sample at the final step, unless the
+        # run ended on a sampling boundary, which has one already: two
+        # samples at one step would make a zero-width window.
+        if sampled and (not samples or samples[-1].step != step_index):
+            samples.append(self._sample(
+                step_index, stats.interp_instructions,
+                stats.cache_instructions, stats.region_transitions))
         if prof is not None:
             prof.steps = step_index
             prof.stop()
@@ -319,6 +243,8 @@ class Simulator:
         if obs.metrics is not None:
             self._fill_metrics(stats, step_index)
         if events_on:
+            if sampled:
+                self._emit_phase_shifts(samples)
             obs.emit(
                 "run_finished",
                 step_index,
@@ -341,12 +267,41 @@ class Simulator:
             metrics=obs.metrics.snapshot() if obs.metrics is not None else {},
         )
 
+    def _sample(self, step: int, interp_instructions: int,
+                cache_instructions: int,
+                region_transitions: int) -> TimelineSample:
+        """A timeline sample at ``step`` from a loop's own counters."""
+        cache = self.cache
+        return TimelineSample(
+            step, interp_instructions, cache_instructions,
+            len(cache.regions), region_transitions,
+            cache.evictions + cache.flushes,
+        )
+
+    def _emit_phase_shifts(self, samples: List[TimelineSample]) -> None:
+        """Emit each window-over-window shift as a ``phase_shift`` event."""
+        # Imported here: repro.analysis pulls in the experiment layer,
+        # which imports this module.
+        from repro.analysis.timeline import phase_shifts
+
+        emit = self.observer.emit
+        for shift in phase_shifts(samples):
+            emit(
+                "phase_shift",
+                shift.step,
+                signal=shift.signal,
+                previous=_rounded(shift.previous),
+                current=_rounded(shift.current),
+                delta=_rounded(shift.delta),
+                window=self.sample_every,
+            )
+
     def _run_loop(
         self,
         producer,
         stats: RunStats,
         edge_profile: Dict[Tuple[BasicBlock, BasicBlock], int],
-        step_hooks: Tuple[StepHook, ...],
+        samples: List[TimelineSample],
         events_on: bool,
         prof,
     ) -> int:
@@ -372,6 +327,9 @@ class Simulator:
         on_cache_exit = selector.on_cache_exit
         lookup = cache.lookup
         edge_get = edge_profile.get
+        sample_every = self.sample_every
+        # Step indices start at 1, so 0 never matches an unsampled run.
+        next_sample = sample_every or 0
 
         step_index = 0
         region: Optional[Region] = None  # None => interpreting
@@ -380,11 +338,14 @@ class Simulator:
 
         def consume(block, taken, target):
             nonlocal step_index, region, trace_position, region_is_trace
+            nonlocal next_sample
             step_index += 1
             cache.now = step_index
-            if step_hooks:
-                for hook in step_hooks:
-                    hook.on_step(step_index)
+            if step_index == next_sample:
+                samples.append(self._sample(
+                    step_index, stats.interp_instructions,
+                    stats.cache_instructions, stats.region_transitions))
+                next_sample += sample_every
 
             if target is not None:
                 edge = (block, target)
@@ -526,7 +487,7 @@ class Simulator:
                     "run_engine must be called before any consume() call")
             self._check_engine(engine)
             step_index = self._run_fused(engine, stats, edge_profile,
-                                         step_hooks, events_on, prof)
+                                         samples, events_on, prof)
             return step_index
 
         consume.run_engine = run_engine
@@ -538,7 +499,7 @@ class Simulator:
         engine: ExecutionEngine,
         stats: RunStats,
         edge_profile: Dict[Tuple[BasicBlock, BasicBlock], int],
-        step_hooks: Tuple[StepHook, ...],
+        samples: List[TimelineSample],
         events_on: bool,
         prof,
     ) -> int:
@@ -573,12 +534,12 @@ class Simulator:
 
         * the hot ``RunStats`` counters (``region_transitions``
           included) accumulate in locals and are flushed to ``stats``
-          before any step hook runs (hooks observe steps ``1..N-1`` at
-          step ``N``, exactly like the reference loop) and again on
-          every exit path;
+          on every exit path; a timeline sample at step ``N`` reads
+          the locals, which then cover steps ``1..N-1``, exactly what
+          the reference loop's ``stats`` hold there;
         * ``cache.now`` is advanced only where someone can read it —
-          before selector callbacks, hooks, and region installs — not
-          on pure walk steps, where nothing consults the clock;
+          before selector callbacks and region installs — not on pure
+          walk steps, where nothing consults the clock;
         * the selector's base-class no-op hooks are skipped entirely
           (:func:`~repro.selection.base.fast_hooks`), so e.g. LEI pays
           nothing per untaken interpreted step;
@@ -591,8 +552,8 @@ class Simulator:
           ``(taken, target)`` tuples that stay in the region and never
           move onto its entry (so no cycle back is hidden inside one) —
           evaluating them stepwise has no side effects — and batching
-          is disabled when per-step observers (step hooks, an icache
-          model) are registered;
+          is disabled when a per-step observer (the timeline sampler,
+          an icache model) is set;
         * a counted cycle (``WalkTable.run_laps``) is walked in whole
           laps only when batching is on, right after the walk moved
           from its latch onto the entry.  Between two latch decisions
@@ -675,7 +636,10 @@ class Simulator:
         # Static runs and counted laps fold many steps into one loop
         # iteration, so they are valid only when nothing observes
         # individual steps; when something does, the walk serves it.
-        can_batch = not step_hooks and icache is None
+        sample_every = self.sample_every
+        sampling = sample_every is not None
+        next_sample = sample_every or 0
+        can_batch = not sampling and icache is None
 
         # Hot counters, kept local (see the flush discipline above).
         # Every step is either interpreted or cached, so the cache-side
@@ -712,15 +676,11 @@ class Simulator:
                         taken, target = decide(steps)
                     count = block.bundle.count
 
-                    if step_hooks:
-                        cache.now = steps
-                        stats.interp_steps = interp_steps
-                        stats.interp_instructions = interp_insts
-                        stats.cache_steps = steps - 1 - interp_steps
-                        stats.cache_instructions = cache_insts + walk_insts
-                        stats.region_transitions = transitions
-                        for hook in step_hooks:
-                            hook.on_step(steps)
+                    if sampling and steps == next_sample:
+                        samples.append(self._sample(
+                            steps, interp_insts, cache_insts + walk_insts,
+                            transitions))
+                        next_sample += sample_every
 
                     if target is not None:
                         edge = (block, target)
@@ -817,16 +777,11 @@ class Simulator:
                     else:
                         taken, target = decide(steps)
                     if not can_batch:
-                        if step_hooks:
-                            cache.now = steps
-                            stats.interp_steps = interp_steps
-                            stats.interp_instructions = interp_insts
-                            stats.cache_steps = steps - 1 - interp_steps
-                            stats.cache_instructions = (cache_insts
-                                                        + walk_insts)
-                            stats.region_transitions = transitions
-                            for hook in step_hooks:
-                                hook.on_step(steps)
+                        if sampling and steps == next_sample:
+                            samples.append(self._sample(
+                                steps, interp_insts,
+                                cache_insts + walk_insts, transitions))
+                            next_sample += sample_every
                         if icache is not None:
                             base_addr = region.cache_address
                             if base_addr is not None:
@@ -1024,6 +979,11 @@ class Simulator:
         ).set(self.selector.peak_observed_trace_bytes)
 
 
+def _rounded(value):
+    """Event payload form of a signal value: floats to 6 places."""
+    return round(value, 6) if isinstance(value, float) else value
+
+
 def simulate(
     program: Program,
     selector_name: str,
@@ -1034,7 +994,6 @@ def simulate(
     icache: Optional[InstructionCache] = None,
     observer: Optional[Observer] = None,
     fast: bool = True,
-    signals: Optional[SignalConfig] = None,
 ) -> RunResult:
     """Convenience: execute ``program`` live and simulate the system.
 
@@ -1054,7 +1013,6 @@ def simulate(
     simulator = Simulator(
         program, selector_name, config,
         sample_every=sample_every, icache=icache, observer=observer,
-        signals=signals,
     )
     if fast:
         return simulator.run_program(engine)

@@ -57,6 +57,15 @@ class TestTimeline:
         steps = [s.step for s in result.samples]
         assert steps == [3]
 
+    def test_loops_agree_on_samples(self, call_loop_program, fast_config,
+                                    sampled_run):
+        reference = simulate(call_loop_program, "lei", fast_config,
+                             sample_every=100, fast=False)
+        assert reference.samples == sampled_run.samples
+        steps = [s.step for s in sampled_run.samples]
+        total = sampled_run.stats.interp_steps + sampled_run.stats.cache_steps
+        assert steps == list(range(100, total, 100)) + [total]
+
     def test_window_rates_derive_deltas(self, sampled_run):
         rates = window_rates(sampled_run.samples)
         assert rates
@@ -64,6 +73,20 @@ class TestTimeline:
             assert 0.0 <= rate.hit_rate <= 1.0
             assert rate.end_step > rate.start_step
             assert rate.instructions > 0
+
+    def test_window_rates_start_at_step_zero(self, sampled_run):
+        rates = window_rates(sampled_run.samples)
+        first = sampled_run.samples[0]
+        assert rates[0].start_step == 0
+        assert rates[0].end_step == first.step
+        assert rates[0].instructions == first.total_instructions
+        assert rates[0].regions_selected == first.regions_selected
+        assert [r.end_step for r in rates] == [
+            s.step for s in sampled_run.samples]
+
+    def test_window_rates_of_an_empty_run(self):
+        # An empty run's only sample is its closing one, at step 0.
+        assert window_rates([TimelineSample(0, 0, 0, 0, 0)]) == []
 
     def test_warmup_detected_for_hot_loop(self, sampled_run):
         # LEI selects at threshold 4; the loop runs 200 iterations, so
@@ -105,6 +128,18 @@ class TestTimeline:
         assert coldest is not None
         assert coldest.start_step == 200
         assert coldest.hit_rate == 0.5
+
+    def test_coldest_window_skips_only_the_first(self):
+        # The first window is [0, 100); the second, at 0.2, is the
+        # coldest of the rest.
+        samples = [
+            TimelineSample(100, 100, 0, 0, 0),
+            TimelineSample(200, 180, 20, 1, 0),
+            TimelineSample(300, 230, 70, 1, 0),
+        ]
+        coldest = coldest_window(samples)
+        assert (coldest.start_step, coldest.end_step) == (100, 200)
+        assert coldest.hit_rate == pytest.approx(0.2)
 
     def test_coldest_window_empty(self):
         assert coldest_window([]) is None

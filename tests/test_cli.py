@@ -73,6 +73,15 @@ class TestCompareAndTimeline:
         out = capsys.readouterr().out
         assert "windowed hit rates" in out
         assert "warm" in out
+        # The table starts at step 0, and the warm-up shift is listed.
+        assert out.splitlines()[2].split()[0] == "0-5000"
+        assert "phase shifts:" in out
+
+    def test_timeline_rejects_an_empty_window(self, capsys):
+        assert main(["timeline", "gzip", "lei", "--scale", "0.05",
+                     "--window", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: sample_every must be >= 1 step, got 0\n"
 
 
 class TestCollectReplay:

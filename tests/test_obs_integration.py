@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.config import SystemConfig
-from repro.errors import ReproError, SelectionError
+from repro.errors import ConfigError, ReproError, SelectionError
 from repro.execution.engine import ExecutionEngine
 from repro.obs import (
     CollectingSink,
@@ -155,52 +155,28 @@ class TestProfiling:
         assert sum(timer.totals.values()) <= timer.total_seconds * 1.01
 
 
-class TestStepHookConsolidation:
-    def test_custom_hook_sees_every_step_and_final_index(self):
+class TestTimelineSampling:
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fused", "reference"])
+    def test_samples_on_multiples_plus_closing_sample(self, fast):
         program = build_benchmark("mcf", scale=0.05)
-
-        class CountingHook:
-            def __init__(self):
-                self.steps = 0
-                self.last = None
-                self.finished_at = None
-
-            def on_step(self, step_index):
-                self.steps += 1
-                assert step_index == self.steps  # no drift, ever
-                self.last = step_index
-
-            def on_finish(self, step_index):
-                self.finished_at = step_index
-
-        hook = CountingHook()
         simulator = Simulator(program, "net", sample_every=1000)
-        simulator.add_step_hook(hook)
-        result = simulator.run(ExecutionEngine(program, seed=1).run())
+        engine = ExecutionEngine(program, seed=1)
+        result = (simulator.run_program(engine) if fast
+                  else simulator.run(engine.run()))
         total = result.stats.interp_steps + result.stats.cache_steps
-        assert hook.steps == total
-        assert hook.finished_at == hook.last == total
+        assert total % 1000  # so the run ends between two boundaries
+        steps = [sample.step for sample in result.samples]
+        assert steps == list(range(1000, total, 1000)) + [total]
+        final = result.samples[-1]
+        assert final.total_instructions == result.total_instructions_executed
+        assert final.regions_selected == result.region_count
+        assert final.region_transitions == result.region_transitions
 
-    def test_sampler_and_hooks_share_the_step_clock(self):
+    def test_sample_every_validated(self):
         program = build_benchmark("mcf", scale=0.05)
-
-        class RecordingHook:
-            def __init__(self):
-                self.indices = []
-
-            def on_step(self, step_index):
-                if step_index % 1000 == 0:
-                    self.indices.append(step_index)
-
-            def on_finish(self, step_index):
-                self.indices.append(step_index)
-
-        hook = RecordingHook()
-        simulator = Simulator(program, "net", sample_every=1000)
-        simulator.add_step_hook(hook)
-        result = simulator.run(ExecutionEngine(program, seed=1).run())
-        # The timeline sampler recorded at exactly the steps the hook saw.
-        assert [s.step for s in result.samples] == hook.indices
+        with pytest.raises(ConfigError):
+            Simulator(program, "net", sample_every=0)
 
 
 class TestErrorContext:

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.timeline import phase_shifts
 from repro.behavior.models import LoopTrip
 from repro.behavior.rng import SplitMix64
 from repro.cache.dispatch import DispatchTable
+from repro.cache.icache import InstructionCache
 from repro.config import SystemConfig
 from repro.execution.engine import ExecutionEngine
 from repro.isa.opcodes import BranchKind
@@ -233,15 +235,19 @@ class TestPipelinesAgree:
 
     # Examples run in milliseconds, and only about a third of the
     # bounded ones select enough regions to evict, so draw more: 20 per
-    # selector.  Generated runs take a few hundred steps, so a drawn
-    # budget below 500 often stops the run, and its collection,
-    # mid-way.
-    @settings(COMMON, max_examples=140)
+    # selector in each arm, unobserved and observed.  Generated runs
+    # take a few hundred steps, so a drawn budget below 500 often stops
+    # the run, and its collection, mid-way.  The observed arm samples
+    # the timeline every few steps and fetches through a 1 KiB icache,
+    # so the fused loop walks step by step.
+    @settings(COMMON, max_examples=280)
     @given(small_programs(), st.sampled_from(SELECTORS + RELATED_SELECTORS),
            st.sampled_from((None, "fifo", "flush")),
-           st.one_of(st.just(30_000), st.integers(1, 500)))
+           st.one_of(st.just(30_000), st.integers(1, 500)),
+           st.one_of(st.none(), st.integers(1, 40)))
     def test_pull_push_and_fused_fingerprints_equal(
-            self, trace_path, program_seed, selector, policy, max_steps):
+            self, trace_path, program_seed, selector, policy, max_steps,
+            sample_every):
         from repro.tracing import collect_trace, replay_trace, replay_trace_into
 
         program, seed = program_seed
@@ -265,28 +271,36 @@ class TestPipelinesAgree:
             config = replace(config, cache_capacity_bytes=capacity,
                              cache_eviction_policy=policy)
 
+        def simulator():
+            observed = sample_every is not None
+            return Simulator(
+                program, selector, config, sample_every=sample_every,
+                icache=InstructionCache(1024) if observed else None)
+
         pull_engine = engine()
-        pull = Simulator(program, selector, config).run(pull_engine.run())
-        push = Simulator(program, selector, config).run_push(
-            engine().run_into)
+        pull = simulator().run(pull_engine.run())
+        push = simulator().run_push(engine().run_into)
         fused_engine = engine()
         with checked_dispatch() as checks:
-            fused = Simulator(program, selector, config).run_program(
-                fused_engine)
+            fused = simulator().run_program(fused_engine)
         if policy is not None and len(unbounded.regions) >= 2:
             assert pull.cache_evictions > 0
         assert fingerprint(push) == fingerprint(pull)
         assert fingerprint(fused) == fingerprint(pull)
+        assert phase_shifts(fused.samples) == phase_shifts(pull.samples)
         assert_paper_invariants(pull, pull_engine, program)
         assert_paper_invariants(fused, fused_engine, program)
         assert len(checks) >= len(fused.regions)
+        if sample_every is not None:
+            total = pull.stats.interp_steps + pull.stats.cache_steps
+            assert [sample.step for sample in pull.samples] == (
+                list(range(sample_every, total, sample_every)) + [total])
 
         # Collect once, then replay on the reference state machine
         # (pulled) and on the fused core (pushed).
         collect_trace(engine(), trace_path)
-        replay_pull = Simulator(program, selector, config).run(
-            replay_trace(trace_path, program))
-        replay_fused = Simulator(program, selector, config).run_push(
+        replay_pull = simulator().run(replay_trace(trace_path, program))
+        replay_fused = simulator().run_push(
             lambda consume: replay_trace_into(trace_path, program, consume))
         assert fingerprint(replay_pull) == fingerprint(pull)
         assert fingerprint(replay_fused) == fingerprint(pull)

@@ -4,8 +4,11 @@ import pytest
 
 from repro.cache.codecache import CodeCache
 from repro.cache.region import CFGRegion, TraceRegion
-from repro.cache.sizing import STUB_BYTES, estimate_cache_bytes
+from repro.cache.sizing import STUB_BYTES
+from repro.config import SystemConfig
 from repro.errors import CacheError
+from repro.system.simulator import simulate
+from repro.workloads import build_benchmark
 
 
 def B(program, label):
@@ -219,15 +222,21 @@ class TestCodeCacheAndSizing:
                                             + B(p, "main:C").instruction_count)
         assert cache.region_count == 2
 
-    def test_size_estimate_formula(self, simple_loop_program):
+    def test_region_bytes_formula(self, simple_loop_program):
         head = B(simple_loop_program, "main:head")
         region = TraceRegion([head], final_target=head)
         expected = head.byte_size + STUB_BYTES * region.exit_stub_count
-        assert estimate_cache_bytes([region]) == expected
+        assert CodeCache().region_bytes(region) == expected
 
-    def test_size_estimate_custom_stub_bytes(self, simple_loop_program):
-        head = B(simple_loop_program, "main:head")
-        region = TraceRegion([head], final_target=head)
-        small = estimate_cache_bytes([region], stub_bytes=1)
-        large = estimate_cache_bytes([region], stub_bytes=100)
-        assert large > small
+    @pytest.mark.parametrize("stub_bytes", [STUB_BYTES, 1, 100])
+    def test_size_estimate_custom_stub_bytes(self, stub_bytes):
+        # Evicted regions count too: the estimate is Section 4.3.4's
+        # "total number of instruction bytes inserted in the code cache".
+        config = SystemConfig(stub_bytes=stub_bytes,
+                              cache_capacity_bytes=300,
+                              cache_eviction_policy="fifo")
+        result = simulate(build_benchmark("gzip", scale=0.05), "net", config)
+        assert result.cache_evictions > 0
+        assert result.cache_size_estimate == sum(
+            region.instruction_bytes + stub_bytes * region.exit_stub_count
+            for region in result.regions)
