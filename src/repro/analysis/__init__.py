@@ -24,7 +24,6 @@ from repro.analysis.timeline import (
     coldest_window,
     first_hot_window,
     phase_shifts,
-    warmup_step,
     window_rates,
 )
 from repro.analysis.serialize import (
@@ -40,7 +39,6 @@ from repro.analysis.serialize import (
 __all__ = [
     "WindowRate",
     "window_rates",
-    "warmup_step",
     "first_hot_window",
     "coldest_window",
     "SignalShift",

@@ -113,47 +113,15 @@ def phase_shifts(samples: Sequence[TimelineSample]) -> List[SignalShift]:
     return shifts
 
 
-def warmup_step(
-    samples: Sequence[TimelineSample], threshold: float = 0.9
-) -> Optional[int]:
-    """Earliest sampled step after which execution is hot in aggregate.
-
-    Returns the start step of the earliest window from which the
-    *remainder of the run*, taken together, meets the ``threshold`` hit
-    rate — or ``None`` when even the full run's tail never does.
-    Aggregating the suffix (instead of demanding every later window be
-    hot) keeps a tiny cold tail — the few interpreted instructions
-    around program exit — from erasing an otherwise-warm run.
-    """
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
-    rates = window_rates(samples)
-    if not rates:
-        return None
-    # Walk suffixes from the earliest candidate forward.
-    suffix_cache = 0
-    suffix_total = 0
-    suffix_stats = []
-    for rate in reversed(rates):
-        cache_delta = round(rate.hit_rate * rate.instructions)
-        suffix_cache += cache_delta
-        suffix_total += rate.instructions
-        suffix_stats.append(suffix_cache / suffix_total)
-    suffix_stats.reverse()
-    for rate, suffix_rate in zip(rates, suffix_stats):
-        if suffix_rate >= threshold:
-            return rate.start_step
-    return None
-
-
 def first_hot_window(
     samples: Sequence[TimelineSample], threshold: float = 0.95
 ) -> Optional[int]:
     """End step of the first single window meeting ``threshold``.
 
-    A finer-grained warm-up probe than :func:`warmup_step`: on a long
-    run the suffix aggregate is dominated by the hot steady state, so
-    this looks at individual windows instead.
+    The warm-up probe of ``repro timeline``, the warm-up bench and the
+    examples.  It looks at single windows, because a hit rate
+    aggregated over the rest of a run is dominated by the run's hot
+    steady state and reads warm under a cold first window.
     """
     if not 0.0 < threshold <= 1.0:
         raise ConfigError(f"threshold must be in (0, 1], got {threshold}")

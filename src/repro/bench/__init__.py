@@ -4,10 +4,10 @@ Runs a pinned set of simulator workloads under the :mod:`repro.obs`
 span profiler and records per-phase wall time and events/s (one
 simulated basic-block event per step) in host-normalized units: every
 pass is timed between two samples of a fixed pure-Python probe
-(:mod:`repro.bench.harness`).  One comparator
-(:func:`~repro.bench.regress.analyze_run`) scores a run against the
-committed baseline for ``repro bench``, its ``--check`` gate, its
-``--analyze`` re-read and ``repro obs report --bench``.  See
+(:mod:`repro.bench.harness`).  ``repro bench --against REV``
+alternates runs of REV and of this checkout, and one comparator scores
+the paired record for its ``--check`` gate and for
+``repro obs report --bench`` (:mod:`repro.bench.regress`).  See
 ``docs/performance.md``.
 """
 
@@ -21,32 +21,24 @@ from repro.bench.harness import (
     write_bench_run,
 )
 from repro.bench.regress import (
-    DEFAULT_BASELINE_PATH,
-    PIN_RUNS,
-    QUICK_BASELINE_PATH,
-    analyze_run,
-    default_baseline_path,
+    PAIRS,
+    analyze_pairs,
     format_analysis,
-    load_baseline,
     load_record,
-    median_run,
+    run_pairs,
 )
 
 __all__ = [
     "BENCH_VERSION",
     "BenchWorkload",
-    "DEFAULT_BASELINE_PATH",
-    "PIN_RUNS",
-    "QUICK_BASELINE_PATH",
+    "PAIRS",
     "QUICK_WORKLOADS",
     "STANDARD_WORKLOADS",
-    "analyze_run",
-    "default_baseline_path",
+    "analyze_pairs",
     "format_analysis",
     "format_bench_table",
-    "load_baseline",
     "load_record",
-    "median_run",
     "run_bench",
+    "run_pairs",
     "write_bench_run",
 ]

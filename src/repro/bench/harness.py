@@ -33,7 +33,6 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.batch import build_fleet_program
-from repro.config import SystemConfig
 from repro.errors import ReproError
 from repro.experiments.manifest import git_sha
 from repro.metrics.summary import MetricReport
@@ -120,11 +119,11 @@ class HostSpeed:
         return (time.perf_counter() - started) / self.REFERENCE_S
 
 
-def _run_pass(workload: BenchWorkload, program,
-              config: SystemConfig) -> Tuple[Dict[str, object], MetricReport]:
+def _run_pass(workload: BenchWorkload,
+              program) -> Tuple[Dict[str, object], MetricReport]:
     profiler = SpanTimer()
-    result = simulate(program, workload.selector, config,
-                      seed=workload.seed, observer=Observer(profiler=profiler))
+    result = simulate(program, workload.selector, seed=workload.seed,
+                      observer=Observer(profiler=profiler))
     return profiler.snapshot(), MetricReport.from_result(result)
 
 
@@ -176,7 +175,6 @@ def _record(workload: BenchWorkload,
 def run_bench(
     quick: bool = False,
     workloads: Optional[Sequence[BenchWorkload]] = None,
-    config: Optional[SystemConfig] = None,
     repeats: int = DEFAULT_REPEATS,
 ) -> Dict[str, object]:
     """Run the pinned workload set and assemble the bench record.
@@ -187,7 +185,6 @@ def run_bench(
     """
     if workloads is None:
         workloads = QUICK_WORKLOADS if quick else STANDARD_WORKLOADS
-    config = config if config is not None else SystemConfig()
     programs = [build_fleet_program(w.benchmark, w.scale) for w in workloads]
     passes: List[List[Tuple[Dict[str, object], MetricReport, float]]] = [
         [] for _ in workloads
@@ -196,7 +193,7 @@ def run_bench(
     before = host.sample()
     for _ in range(max(1, repeats)):
         for workload, program, samples in zip(workloads, programs, passes):
-            snapshot, report = _run_pass(workload, program, config)
+            snapshot, report = _run_pass(workload, program)
             after = host.sample()
             samples.append((snapshot, report, (before + after) / 2))
             before = after
@@ -212,8 +209,8 @@ def run_bench(
 
 
 def write_bench_run(run: Dict[str, object], path: str) -> str:
-    """Write a bench record (a run or a baseline) as JSON; returns the
-    path."""
+    """Write a bench record (a run or a paired record) as JSON; returns
+    the path."""
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)

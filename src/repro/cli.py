@@ -9,11 +9,11 @@ Commands:
 * ``collect`` — record a benchmark's execution to a binary trace file;
 * ``replay`` — run a selector over a previously collected trace;
 * ``inspect`` — summarize a JSONL event log without re-running;
-* ``bench`` — run the pinned perf workloads, write ``BENCH_run.json``
-  and score it against the committed baseline in host-normalized units
-  (:mod:`repro.bench.regress`; see ``docs/performance.md``);
-  ``bench --analyze`` scores the recorded file without re-running
-  anything;
+* ``bench`` — run the pinned perf workloads and write
+  ``BENCH_run.json``; ``bench --against REV`` alternates paired runs of
+  REV and this checkout, records both sides and scores them in
+  host-normalized units (:mod:`repro.bench.regress`; see
+  ``docs/performance.md``);
 * ``obs report`` — render the merged fleet-telemetry JSON written by
   ``run_grid(telemetry_out=...)`` (see ``docs/observability.md``);
 * ``fleet`` — run a (benchmark x selector x seed) grid as one fleet,
@@ -194,52 +194,39 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: run the pinned workloads (with ``--analyze``,
-    re-read the run at ``--out`` instead) and score the run against its
-    baseline.
+    """``repro bench``: run the pinned workloads and record the run; with
+    ``--against REV``, record paired runs of REV and this checkout and
+    score them.
 
-    A baseline that cannot be compared exits 2 with a one-line
-    ``error:`` message; ``--check`` exits 1 when any workload's verdict
-    is ``regression``.
+    ``--check`` without ``--against``, and a REV that cannot be checked
+    out or run, exit 2 with a one-line ``error:`` message; ``--check``
+    exits 1 when any workload's verdict is ``regression``.
     """
     from repro.bench import (
-        PIN_RUNS,
-        analyze_run,
-        default_baseline_path,
+        analyze_pairs,
         format_analysis,
         format_bench_table,
-        load_baseline,
-        load_record,
-        median_run,
         run_bench,
+        run_pairs,
         write_bench_run,
     )
     from repro.errors import ConfigError
 
     try:
-        if args.analyze:
-            run = load_record(args.out)
-        else:
-            run = run_bench(quick=args.quick, repeats=args.repeats)
-            print(format_bench_table(run))
-            path = write_bench_run(run, args.out)
-            print(f"bench run written to {path}", file=sys.stderr)
-            if args.update_baseline:
-                runs = [run] + [run_bench(quick=args.quick,
-                                          repeats=args.repeats)
-                                for _ in range(PIN_RUNS - 1)]
-                path = write_bench_run(
-                    median_run(runs),
-                    args.baseline or default_baseline_path(args.quick))
-                print(f"baseline pinned at {path} (per workload, the "
-                      f"median of {len(runs)} runs)", file=sys.stderr)
-        if args.no_baseline:
+        if args.against is None:
             if args.check:
-                raise ConfigError("--check needs a baseline; drop "
-                                  "--no-baseline")
+                raise ConfigError("--check needs --against REV: the "
+                                  "gate scores paired runs")
+            record = run_bench(quick=args.quick, repeats=args.repeats)
+            print(format_bench_table(record))
+        else:
+            record = run_pairs(args.against, quick=args.quick,
+                               repeats=args.repeats)
+        path = write_bench_run(record, args.out)
+        print(f"bench record written to {path}", file=sys.stderr)
+        if args.against is None:
             return 0
-        analysis = analyze_run(run, load_baseline(
-            args.baseline, quick=bool(run.get("quick"))))
+        analysis = analyze_pairs(record)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -265,13 +252,11 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
 
     analysis = None
     if args.bench is not None:
-        from repro.bench import analyze_run, load_baseline, load_record
+        from repro.bench import analyze_pairs, load_record
         from repro.errors import ConfigError
 
         try:
-            run = load_record(args.bench)
-            analysis = analyze_run(run, load_baseline(
-                None, quick=bool(run.get("quick"))))
+            analysis = analyze_pairs(load_record(args.bench))
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -447,8 +432,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_timeline(args: argparse.Namespace) -> int:
     from repro.analysis.timeline import (
+        first_hot_window,
         phase_shifts,
-        warmup_step,
         window_rates,
     )
 
@@ -468,8 +453,8 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         print(f"{rate.start_step:8d}-{rate.end_step:<9d} "
               f"{100 * rate.hit_rate:7.2f} {rate.instructions:9d} "
               f"{rate.regions_selected:12d} {rate.region_transitions:12d}")
-    warm = warmup_step(result.samples)
-    print(f"warm (>=90% for the rest of the run) from step: "
+    warm = first_hot_window(result.samples)
+    print(f"first window at >=95% hit rate ends at step: "
           f"{warm if warm is not None else 'never'}")
     shifts = phase_shifts(result.samples)
     print(f"phase shifts: {len(shifts)}")
@@ -556,23 +541,19 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quick", action="store_true",
                        help="reduced-scale smoke variant (CI)")
     bench.add_argument("--out", metavar="PATH", default="BENCH_run.json",
-                       help="where to write the run (default BENCH_run.json)")
-    bench.add_argument("--baseline", metavar="PATH", default=None,
-                       help="baseline file (default: the committed one)")
-    bench.add_argument("--no-baseline", action="store_true",
-                       help="skip the baseline comparison entirely")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="run the set five times and pin the "
-                            "per-workload median as the baseline")
+                       help="where to write the record (default "
+                            "BENCH_run.json)")
+    bench.add_argument("--against", metavar="REV", default=None,
+                       help="alternate paired runs of git revision REV "
+                            "and this checkout, record both sides and "
+                            "score the median pair")
     bench.add_argument("--check", action="store_true",
-                       help="exit 1 if any workload's normalized events/s "
-                            "fell 25%% or more below the baseline")
+                       help="with --against: exit 1 if any workload's "
+                            "median pair fell 15%% or more below REV")
     bench.add_argument("--repeats", type=int, default=5, metavar="N",
-                       help="passes per workload; the median normalized "
-                            "pass is recorded (default: 5)")
-    bench.add_argument("--analyze", action="store_true",
-                       help="score the run already recorded at --out "
-                            "instead of running the workloads")
+                       help="passes per workload in every run; the "
+                            "median normalized pass is recorded "
+                            "(default: 5)")
     bench.add_argument("--markdown", action="store_true",
                        help="emit the verdicts as Markdown")
     bench.set_defaults(func=cmd_bench)
@@ -622,7 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="document written by run_grid(telemetry_out=...)")
     obs_report.add_argument(
         "--bench", metavar="PATH", default=None,
-        help="also include regression verdicts for this BENCH_run.json")
+        help="also include the verdicts of this paired bench record "
+             "(`repro bench --against REV`)")
     obs_report.add_argument("--markdown", action="store_true",
                             help="emit the report as Markdown")
     obs_report.set_defaults(func=cmd_obs_report)

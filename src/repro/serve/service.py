@@ -92,7 +92,6 @@ class SimulationService:
         observer: Optional[Observer] = None,
         code_version: Optional[str] = None,
         batch_window: float = 0.005,
-        mp_context=None,
     ) -> None:
         self.store = store
         self.workers = max(1, workers)
@@ -105,7 +104,6 @@ class SimulationService:
         #: Seconds a cold miss waits before dispatch so a concurrent
         #: burst of distinct cells lands in one engine batch.
         self.batch_window = batch_window
-        self._mp_context = mp_context
         self.stats = ServiceStats()
         self._inflight: Dict[str, _Pending] = {}
         self._queue: List[_Pending] = []
@@ -258,7 +256,6 @@ class SimulationService:
             backoff=self.backoff,
             observer=self.obs,
             on_complete=on_complete,
-            mp_context=self._mp_context,
         )
         engine.run([
             Job(pending.digest,

@@ -229,10 +229,13 @@ class Simulator:
                 prof.stop()
             raise
         sampled = self.sample_every is not None
-        # Close the timeline with a sample at the final step, unless the
-        # run ended on a sampling boundary, which has one already: two
-        # samples at one step would make a zero-width window.
-        if sampled and (not samples or samples[-1].step != step_index):
+        # Close the timeline with a sample at the final step.  A run
+        # that ended on a sampling boundary took that boundary's sample
+        # before the last step's effects, so the closing sample replaces
+        # it: two samples at one step would make a zero-width window.
+        if sampled:
+            if samples and samples[-1].step == step_index:
+                samples.pop()
             samples.append(self._sample(
                 step_index, stats.interp_instructions,
                 stats.cache_instructions, stats.region_transitions))

@@ -11,7 +11,6 @@ from repro.analysis import (
     region_inventory,
     report_from_dict,
     report_to_dict,
-    warmup_step,
     window_rates,
 )
 from repro.analysis.timeline import coldest_window
@@ -87,35 +86,6 @@ class TestTimeline:
     def test_window_rates_of_an_empty_run(self):
         # An empty run's only sample is its closing one, at step 0.
         assert window_rates([TimelineSample(0, 0, 0, 0, 0)]) == []
-
-    def test_warmup_detected_for_hot_loop(self, sampled_run):
-        # LEI selects at threshold 4; the loop runs 200 iterations, so
-        # warm-up completes early in the run.
-        step = warmup_step(sampled_run.samples, threshold=0.9)
-        assert step is not None
-        assert step < sampled_run.samples[-1].step
-
-    def test_warmup_none_when_never_hot(self):
-        samples = [
-            TimelineSample(100, 100, 0, 0, 0),
-            TimelineSample(200, 200, 10, 1, 0),
-        ]
-        assert warmup_step(samples, threshold=0.9) is None
-
-    def test_warmup_requires_suffix_to_be_hot(self):
-        samples = [
-            TimelineSample(100, 10, 0, 0, 0),
-            TimelineSample(200, 10, 100, 1, 0),   # hot window
-            TimelineSample(300, 110, 100, 1, 0),  # cold again
-            TimelineSample(400, 110, 200, 1, 0),  # hot until the end
-        ]
-        # The suffix starting at the second window is dragged cold by
-        # the dip; only from step 300 is the rest of the run hot.
-        assert warmup_step(samples, threshold=0.9) == 300
-
-    def test_warmup_threshold_validated(self, sampled_run):
-        with pytest.raises(ConfigError):
-            warmup_step(sampled_run.samples, threshold=0.0)
 
     def test_coldest_window_skips_warmup(self):
         samples = [

@@ -72,10 +72,19 @@ class TestCompareAndTimeline:
                      "--window", "5000"]) == 0
         out = capsys.readouterr().out
         assert "windowed hit rates" in out
-        assert "warm" in out
+        assert "first window at >=95% hit rate ends at step:" in out
         # The table starts at step 0, and the warm-up shift is listed.
         assert out.splitlines()[2].split()[0] == "0-5000"
         assert "phase shifts:" in out
+
+    def test_timeline_warm_up_is_the_first_hot_window(self, capsys):
+        # The whole run reads above 90%, but its first window reads
+        # 67.69%: the run turns hot in its third window.
+        assert main(["timeline", "perlbmk", "combined-net", "--scale",
+                     "0.25", "--window", "5000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split()[:2] == ["0-5000", "67.69"]
+        assert "first window at >=95% hit rate ends at step: 15000" in lines
 
     def test_timeline_rejects_an_empty_window(self, capsys):
         assert main(["timeline", "gzip", "lei", "--scale", "0.05",
@@ -250,64 +259,3 @@ class TestErrorReporting:
         code = main(["collect", "gzip", "--scale", "0.05",
                      "-o", str(output)])
         self._assert_one_line_error(capsys, code, "[Errno 2]")
-
-    @staticmethod
-    def _assert_bench_error(capsys, code, starts_with):
-        # The run is written (and says so on stderr) before it is
-        # scored; the failed comparison is the one error line after it.
-        lines = capsys.readouterr().err.splitlines()
-        assert code == 2
-        assert lines[-1].startswith("error: " + starts_with), lines
-        assert sum(line.startswith("error: ") for line in lines) == 1
-
-    @staticmethod
-    def _fake_run():
-        return {
-            "bench_version": 2,
-            "quick": True,
-            "workloads": [{
-                "name": "gzip-net", "benchmark": "gzip", "selector": "net",
-                "scale": 0.1, "seed": 1, "steps": 10, "wall_seconds": 0.01,
-                "events_per_second": 1000.0, "host_factor": 1.5,
-                "norm_events_per_second": 1500.0, "phases": {},
-            }],
-        }
-
-    def test_bench_check_without_baseline(self, tmp_path, capsys,
-                                          monkeypatch):
-        import repro.bench
-
-        monkeypatch.setattr(repro.bench, "run_bench",
-                            lambda **kwargs: self._fake_run())
-        code = main(["bench", "--quick", "--check",
-                     "--baseline", str(tmp_path / "missing.json"),
-                     "--out", str(tmp_path / "run.json")])
-        self._assert_bench_error(capsys, code, "no bench record at")
-
-    def test_bench_check_with_no_baseline_flag(self, tmp_path, capsys,
-                                               monkeypatch):
-        import repro.bench
-
-        monkeypatch.setattr(repro.bench, "run_bench",
-                            lambda **kwargs: self._fake_run())
-        code = main(["bench", "--quick", "--check", "--no-baseline",
-                     "--out", str(tmp_path / "run.json")])
-        self._assert_bench_error(capsys, code, "--check needs a baseline")
-
-    def test_bench_check_with_missing_workload_entry(self, tmp_path, capsys,
-                                                     monkeypatch):
-        import json
-
-        import repro.bench
-
-        monkeypatch.setattr(repro.bench, "run_bench",
-                            lambda **kwargs: self._fake_run())
-        baseline = self._fake_run()
-        baseline["workloads"][0]["name"] = "some-other-workload"
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(json.dumps(baseline))
-        code = main(["bench", "--quick", "--check",
-                     "--baseline", str(baseline_path),
-                     "--out", str(tmp_path / "run.json")])
-        self._assert_bench_error(
-            capsys, code, "baseline cannot be compared: no entry for gzip-net")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.timeline import phase_shifts
+from repro.analysis.timeline import phase_shifts, window_rates
 from repro.behavior.models import LoopTrip
 from repro.behavior.rng import SplitMix64
 from repro.cache.dispatch import DispatchTable
@@ -295,6 +295,10 @@ class TestPipelinesAgree:
             total = pull.stats.interp_steps + pull.stats.cache_steps
             assert [sample.step for sample in pull.samples] == (
                 list(range(sample_every, total, sample_every)) + [total])
+            # Windows partition the run's instructions, also when the
+            # run ends on a sampling boundary.
+            assert sum(w.instructions for w in window_rates(
+                pull.samples)) == pull.total_instructions_executed
 
         # Collect once, then replay on the reference state machine
         # (pulled) and on the fused core (pushed).

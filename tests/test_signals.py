@@ -61,6 +61,19 @@ class TestWindows:
             assert 0.0 <= window.hit_rate <= 1.0
             assert window.regions_selected >= 0 and window.evictions == 0
 
+    @LOOPS
+    @pytest.mark.parametrize("window", [22_678, 11_339, 22_677])
+    def test_a_run_ending_on_a_boundary_keeps_its_last_step(self, fast,
+                                                            window):
+        # mcf under NET runs 22,678 steps here.  A boundary sample is
+        # taken before its step's effects, so at the last step the
+        # closing sample replaces it.
+        result = sampled_run(fast, bench="mcf", scale=0.05, window=window)
+        steps = [s.step for s in result.samples]
+        assert steps == list(range(window, 22_678, window)) + [22_678]
+        assert sum(w.instructions for w in window_rates(result.samples)) == (
+            result.total_instructions_executed) == 76_340
+
     def test_warmup_raises_hit_rate_across_windows(self):
         windows = window_rates(sampled_run().samples)
         assert windows[-1].hit_rate > windows[0].hit_rate
